@@ -1,6 +1,7 @@
 #include "baselines/centralized_cost.h"
 
 #include "proto/wire.h"
+#include "sim/graph.h"
 #include "sim/point.h"
 
 namespace elink {
@@ -22,10 +23,10 @@ int PickBaseStation(const Topology& topology) {
 
 CentralizedRawUpdater::CentralizedRawUpdater(const Topology& topology,
                                              int base_station)
-    : routes_(topology.adjacency, base_station) {}
+    : hops_to_base_(HopDistancesFrom(topology.adjacency, base_station)) {}
 
 void CentralizedRawUpdater::Measurement(int node) {
-  const int hops = routes_.HopsToRoot(node);
+  const int hops = hops_to_base_[node];
   ELINK_CHECK(hops >= 0);
   // One raw measurement per hop: a minimal frame with a single coefficient.
   const uint64_t frame = wire::NominalFrameSize(0, 1);
@@ -36,7 +37,7 @@ CentralizedModelUpdater::CentralizedModelUpdater(
     const Topology& topology, int base_station,
     std::shared_ptr<const DistanceMetric> metric, double slack,
     std::vector<Feature> initial_features)
-    : routes_(topology.adjacency, base_station),
+    : hops_to_base_(HopDistancesFrom(topology.adjacency, base_station)),
       metric_(std::move(metric)),
       slack_(slack),
       last_sent_(std::move(initial_features)) {
@@ -47,7 +48,7 @@ bool CentralizedModelUpdater::UpdateFeature(int node, const Feature& updated) {
   if (metric_->Distance(last_sent_[node], updated) <= slack_ + 1e-12) {
     return false;
   }
-  const int hops = routes_.HopsToRoot(node);
+  const int hops = hops_to_base_[node];
   ELINK_CHECK(hops >= 0);
   const int dim = static_cast<int>(updated.size());
   const uint64_t frame = wire::NominalFrameSize(0, updated.size());

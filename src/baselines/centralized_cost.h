@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "metric/distance.h"
-#include "sim/graph.h"
 #include "sim/stats.h"
 #include "sim/topology.h"
 
@@ -37,7 +36,8 @@ class CentralizedRawUpdater {
   const MessageStats& stats() const { return stats_; }
 
  private:
-  RoutingTable routes_;
+  // Hop distance of every node to the base station.
+  std::vector<int> hops_to_base_;
   MessageStats stats_;
 };
 
@@ -61,7 +61,7 @@ class CentralizedModelUpdater {
   const std::vector<Feature>& base_station_view() const { return last_sent_; }
 
  private:
-  RoutingTable routes_;
+  std::vector<int> hops_to_base_;
   std::shared_ptr<const DistanceMetric> metric_;
   double slack_;
   std::vector<Feature> last_sent_;

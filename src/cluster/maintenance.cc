@@ -138,9 +138,18 @@ void MaintenanceSession::HandleRootUpdate(int root) {
     stored_root_[m] = updated;
     if (metric_->Distance(current_[m], updated) > config_.delta + 1e-12) {
       leavers.push_back(m);
+    } else {
+      RebaseVerified(m);
     }
   }
   for (int m : leavers) DetachAndRelocate(m);
+}
+
+void MaintenanceSession::RebaseVerified(int node) {
+  if (metric_->Distance(verified_[node], stored_root_[node]) >
+      config_.delta + 1e-12) {
+    verified_[node] = current_[node];
+  }
 }
 
 void MaintenanceSession::DetachAndRelocate(int node) {
@@ -212,7 +221,9 @@ void MaintenanceSession::RepairClusterAround(int old_root) {
     announced_[nr] = current_[nr];
     verified_[nr] = current_[nr];
     for (int i = 0; i < n; ++i) {
-      if (clustering_.root_of[i] == nr) stored_root_[i] = announced_[nr];
+      if (clustering_.root_of[i] != nr) continue;
+      stored_root_[i] = announced_[nr];
+      RebaseVerified(i);
     }
   }
 }

@@ -82,6 +82,11 @@ class MaintenanceSession {
   void DetachAndRelocate(int node);
   void HandleRootUpdate(int root);
   void RepairClusterAround(int old_root);
+  /// `node` accepted a new stored root feature and stays.  The A1/A2
+  /// shortcuts are sound only while verified_[node] lies within delta of
+  /// that feature; when it no longer does, the current feature becomes the
+  /// verified one.
+  void RebaseVerified(int node);
 
   const Topology& topology_;
   Clustering clustering_;

@@ -67,6 +67,7 @@ class MaintNode : public proto::ProtocolNode {
         ForwardPushToChildren(m);
         StartDetach();
       } else {
+        RebaseVerified();
         ForwardPushToChildren(m);
       }
     });
@@ -196,12 +197,14 @@ class MaintNode : public proto::ProtocolNode {
       root_ = static_cast<int>(m.root);
       stored_root_ = m.feature;
       for (int child : children_) Send(child, m);
-      if (!probing_ &&
-          Dist(feature_, stored_root_) > ctx_->config.delta + 1e-12) {
+      if (probing_) return;
+      if (Dist(feature_, stored_root_) > ctx_->config.delta + 1e-12) {
         // The relabel (attach echo, or a subtree re-root racing our own
         // update) put us out of range of the authoritative root feature:
         // evict ourselves exactly as a Push carrying it would have.
         StartDetach();
+      } else {
+        RebaseVerified();
       }
     });
   }
@@ -358,6 +361,18 @@ class MaintNode : public proto::ProtocolNode {
   }
   double Dist(const Feature& a, const Feature& b) const {
     return ctx_->metric->Distance(a, b);
+  }
+
+  /// A pushed or relabelled root feature was accepted.  The A1/A2 shortcuts
+  /// in LocalUpdate bound drift relative to verified_, which is sound only
+  /// while verified_ itself lies within delta of the stored root feature.
+  /// When the new root feature breaks that (the root moved away from the
+  /// feature we last verified), the feature just checked against it becomes
+  /// the verified one.
+  void RebaseVerified() {
+    if (Dist(verified_, stored_root_) > ctx_->config.delta + 1e-12) {
+      verified_ = feature_;
+    }
   }
 
   void RootUpdate() {

@@ -49,25 +49,7 @@ bool IsConnected(const AdjacencyList& adj) {
 }
 
 std::vector<int> ConnectedComponents(const AdjacencyList& adj) {
-  std::vector<int> comp(adj.size(), -1);
-  int next = 0;
-  for (size_t start = 0; start < adj.size(); ++start) {
-    if (comp[start] >= 0) continue;
-    const int id = next++;
-    std::deque<int> queue{static_cast<int>(start)};
-    comp[start] = id;
-    while (!queue.empty()) {
-      const int u = queue.front();
-      queue.pop_front();
-      for (int v : adj[u]) {
-        if (comp[v] < 0) {
-          comp[v] = id;
-          queue.push_back(v);
-        }
-      }
-    }
-  }
-  return comp;
+  return InducedComponents(adj, std::vector<char>(adj.size(), 1));
 }
 
 std::vector<int> InducedComponents(const AdjacencyList& adj,
@@ -111,16 +93,6 @@ std::vector<int> ShortestHopPath(const AdjacencyList& adj, int src, int dst) {
   path.push_back(src);
   std::reverse(path.begin(), path.end());
   return path;
-}
-
-RoutingTable::RoutingTable(const AdjacencyList& adj, int root)
-    : root_(root),
-      dist_(HopDistancesFrom(adj, root)),
-      parent_(BfsTreeParents(adj, root)) {
-  parent_[root] = -1;
-  for (size_t i = 0; i < adj.size(); ++i) {
-    if (dist_[i] < 0) parent_[i] = -1;
-  }
 }
 
 }  // namespace elink

@@ -40,24 +40,6 @@ bool IsInducedConnected(const AdjacencyList& adj,
 /// empty when unreachable.
 std::vector<int> ShortestHopPath(const AdjacencyList& adj, int src, int dst);
 
-/// \brief Precomputed single-source BFS answers for repeated routing to/from
-/// one node (e.g. the base station of the centralized baseline).
-class RoutingTable {
- public:
-  RoutingTable(const AdjacencyList& adj, int root);
-
-  int root() const { return root_; }
-  /// Hop distance from `node` to the root (-1 when unreachable).
-  int HopsToRoot(int node) const { return dist_[node]; }
-  /// Next hop from `node` towards the root (-1 at the root / unreachable).
-  int NextHopToRoot(int node) const { return parent_[node]; }
-
- private:
-  int root_;
-  std::vector<int> dist_;
-  std::vector<int> parent_;
-};
-
 }  // namespace elink
 
 #endif  // ELINK_SIM_GRAPH_H_

@@ -44,7 +44,8 @@ Network::Network(Topology topology, Config config)
       churn_(config_.churn, topology_.num_nodes()),
       restart_gen_(topology_.num_nodes(), 0),
       nodes_(topology_.num_nodes()),
-      routing_tables_(topology_.num_nodes()) {
+      route_next_(topology_.num_nodes(), -1),
+      route_seen_(topology_.num_nodes(), 0) {
   ELINK_CHECK(config_.async_delay_min > 0.0);
   ELINK_CHECK(config_.async_delay_max >= config_.async_delay_min);
   queue_.SetInlineHandlers(&Network::OnDeliveryEvent, &Network::OnTimerEvent,
@@ -103,15 +104,11 @@ void Network::ApplyChurnEvent(const ChurnSchedule::Event& ev) {
   switch (ev.kind) {
     case Event::kJoin:
     case Event::kRepair:
-      // The absence set changed, so cached routes (which must not relay
-      // through absent nodes) are stale.
-      for (std::unique_ptr<RoutingTable>& t : routing_tables_) t.reset();
       RestartNode(ev.a);
       NotifyNeighbors(ev.a, /*up=*/true);
       break;
     case Event::kLeave:
     case Event::kCrash:
-      for (std::unique_ptr<RoutingTable>& t : routing_tables_) t.reset();
       NotifyNeighbors(ev.a, /*up=*/false);
       break;
     case Event::kLinkAdd:
@@ -127,9 +124,6 @@ void Network::ApplyChurnEvent(const ChurnSchedule::Event& ev) {
       };
       edit(&live_adjacency_[ev.a], ev.b);
       edit(&live_adjacency_[ev.b], ev.a);
-      // Routed paths must not cross a removed edge (or miss a shortcut), so
-      // every cached table is rebuilt on demand from the edited adjacency.
-      for (std::unique_ptr<RoutingTable>& t : routing_tables_) t.reset();
       if (!churn_.IsAbsent(ev.a, Now()) && nodes_[ev.a] != nullptr) {
         nodes_[ev.a]->OnNeighborChange(ev.b, add);
       }
@@ -426,27 +420,36 @@ void Network::Broadcast(int from, Message msg) {
   }
 }
 
-const RoutingTable& Network::TableFor(int root) {
-  std::unique_ptr<RoutingTable>& slot = routing_tables_[root];
-  if (slot == nullptr) {
-    if (!churn_.enabled()) {
-      slot = std::make_unique<RoutingTable>(topology_.adjacency, root);
-    } else {
-      // Routes must not relay through churn-absent nodes: an absent relay
-      // sinks every frame that crosses it, so a path "through" one is no
-      // path at all.  Build over the live links between present nodes; the
-      // table cache is invalidated on every churn event (link or node).
-      AdjacencyList live(live_adjacency_.size());
-      for (int u = 0; u < static_cast<int>(live_adjacency_.size()); ++u) {
-        if (churn_.IsAbsent(u, Now())) continue;
-        for (int v : live_adjacency_[u]) {
-          if (!churn_.IsAbsent(v, Now())) live[u].push_back(v);
-        }
+int Network::Route(int from, int to) {
+  // Under churn, absent nodes neither relay nor end a route: an absent relay
+  // sinks every frame that crosses it.  Absence changes only at churn
+  // events, which run first at their timestamp.
+  const bool live = churn_.enabled();
+  if (live && (churn_.IsAbsent(from, Now()) || churn_.IsAbsent(to, Now()))) {
+    return -1;
+  }
+  const AdjacencyList& adj = live ? live_adjacency_ : topology_.adjacency;
+  const uint64_t epoch = ++route_epoch_;
+  route_seen_[to] = epoch;
+  route_queue_.assign(1, to);
+  // BFS from `to` in BfsTreeParents(adj, to) order, cut off once `from` is
+  // discovered, so every next hop is the one the full BFS tree gives.
+  for (size_t head = 0; head < route_queue_.size(); ++head) {
+    const int u = route_queue_[head];
+    for (int v : adj[u]) {
+      if (route_seen_[v] == epoch) continue;
+      route_seen_[v] = epoch;
+      if (live && churn_.IsAbsent(v, Now())) continue;
+      route_next_[v] = u;
+      if (v == from) {
+        int hops = 0;
+        for (int cur = from; cur != to; cur = route_next_[cur]) ++hops;
+        return hops;
       }
-      slot = std::make_unique<RoutingTable>(live, root);
+      route_queue_.push_back(v);
     }
   }
-  return *slot;
+  return -1;
 }
 
 int Network::SendRouted(int from, int to, Message msg) {
@@ -463,8 +466,7 @@ int Network::SendRouted(int from, int to, Message msg) {
     ScheduleDelivery(0.0, from, to, std::move(msg), mid);
     return 0;
   }
-  const RoutingTable& table = TableFor(to);
-  const int hops = table.HopsToRoot(from);
+  const int hops = Route(from, to);
   if (churn_.enabled() && hops <= 0) {
     // Churn link removals can partition the live graph; a routed message
     // with no path is lost (and charged once, like any other lost frame).
@@ -501,15 +503,15 @@ int Network::SendRouted(int from, int to, Message msg) {
   int cur = from;
   int prev = from;
   while (cur != to) {
-    const int next = table.NextHopToRoot(cur);
+    const int next = route_next_[cur];
     const double hop_delay = NextHopDelay();
     const bool fault_drop =
         fault_.enabled() &&
         (fault_.IsCrashed(cur, Now() + delay) ||
          fault_.DropTransmission(cur, next, Now() + delay) ||
          fault_.IsCrashed(next, Now() + delay + hop_delay));
-    // The routing table reflects live links at send time, so only endpoint
-    // absence (at the hop's own instants) can sink a hop here.
+    // The route follows live links at send time, so only endpoint absence
+    // (at the hop's own instants) can sink a hop here.
     const bool churn_drop =
         churn_.enabled() &&
         (churn_.IsAbsent(cur, Now() + delay) ||
@@ -543,7 +545,7 @@ int Network::SendRouted(int from, int to, Message msg) {
 
 int Network::HopDistance(int from, int to) {
   if (from == to) return 0;
-  return TableFor(to).HopsToRoot(from);
+  return Route(from, to);
 }
 
 void Network::SetTimer(int id, double delay, int timer_id) {

@@ -155,14 +155,16 @@ class Network {
   void Broadcast(int from, Message msg);
 
   /// Sends `msg` from `from` to an arbitrary node `to` along a shortest hop
-  /// path; intermediate nodes relay without processing.  Each hop is charged
-  /// like a Send.  Used for quadtree parent/child signalling and query
-  /// routing, whose endpoints need not be radio neighbors.
+  /// path of the live graph at send time (under churn: current links,
+  /// present relays); intermediate nodes relay without processing.  Each
+  /// hop is charged like a Send.  Used for quadtree parent/child signalling
+  /// and query routing, whose endpoints need not be radio neighbors.
   /// Returns the number of hops traveled (0 for from == to, in which case
   /// the message is delivered locally after zero delay).
   int SendRouted(int from, int to, Message msg);
 
-  /// Hop distance between two nodes (shortest path; -1 if disconnected).
+  /// Hop distance between two nodes over the same live graph SendRouted
+  /// uses (-1 if disconnected, or under churn if either end is absent).
   int HopDistance(int from, int to);
 
   /// Schedules HandleTimer(timer_id) on node `id` after `delay`.
@@ -253,12 +255,15 @@ class Network {
 
  private:
   double NextHopDelay();
-  const RoutingTable& TableFor(int root);
+  /// Hop count of the shortest live path from `from` to `to` (from != to;
+  /// -1 when there is none), with each path node's next hop towards `to`
+  /// left in route_next_.  A BFS from `to` that stops at `from`.
+  int Route(int from, int to);
   /// True when (from, to) is an edge of the *current* (churn-edited)
   /// adjacency.  Only meaningful while churn is enabled.
   bool HasLiveEdge(int from, int to) const;
   /// Applies one scheduled churn event: restarts/notifies nodes, edits the
-  /// live adjacency, invalidates routing tables, reports to the observer.
+  /// live adjacency, reports to the observer.
   void ApplyChurnEvent(const ChurnSchedule::Event& ev);
   /// Bumps `node`'s restart generation (orphaning its pending timers) and
   /// invokes Node::OnRestart.
@@ -326,9 +331,13 @@ class Network {
   MessageStats stats_;
   SimObserver* observer_ = nullptr;
   bool hit_event_cap_ = false;
-  // Lazily built per-destination routing tables for SendRouted/HopDistance,
-  // indexed by destination node id (built at most once per destination).
-  std::vector<std::unique_ptr<RoutingTable>> routing_tables_;
+  // Route() scratch reused by every call (nothing survives a call, so churn
+  // has nothing to invalidate); route_seen_[v] == route_epoch_ marks v
+  // discovered by the current BFS.
+  std::vector<int> route_next_;
+  std::vector<uint64_t> route_seen_;
+  uint64_t route_epoch_ = 0;
+  std::vector<int> route_queue_;
 
   static bool default_arena_messages_;
 };

@@ -50,24 +50,49 @@ Topology MakeGridTopology(int rows, int cols, double spacing) {
   return t;
 }
 
-namespace {
-
-// Builds unit-disk adjacency for the given positions and range.
-void BuildDiskAdjacency(Topology* t, double range) {
-  const int n = t->num_nodes();
-  t->adjacency.assign(n, {});
+std::vector<std::vector<int>> BuildDiskAdjacency(
+    const std::vector<Point2D>& pts, double range) {
+  ELINK_CHECK(range > 0.0);
+  const int n = static_cast<int>(pts.size());
+  std::vector<std::vector<int>> adj(n);
+  if (n == 0) return adj;
+  Point2D lo = pts[0], hi = pts[0];
+  for (const Point2D& p : pts) {
+    lo = {std::min(lo.x, p.x), std::min(lo.y, p.y)};
+    hi = {std::max(hi.x, p.x), std::max(hi.y, p.y)};
+  }
+  // Cells at least `range` wide put every in-range pair in adjacent cells
+  // (the 1e-9 slack absorbs quotient rounding for pairs exactly `range`
+  // apart); at most ~sqrt(n) cells per axis keep the grid O(n).
+  const double cap = std::floor(std::sqrt(static_cast<double>(n))) + 1.0;
+  const double cell = std::max(
+      {range * (1.0 + 1e-9), (hi.x - lo.x) / cap, (hi.y - lo.y) / cap});
+  const int cols = static_cast<int>((hi.x - lo.x) / cell) + 1;
+  const int rows = static_cast<int>((hi.y - lo.y) / cell) + 1;
+  std::vector<std::vector<int>> cells(static_cast<size_t>(rows) * cols);
+  std::vector<int> cx(n), cy(n);
   for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      if (EuclideanDistance(t->positions[i], t->positions[j]) <= range) {
-        t->adjacency[i].push_back(j);
-        t->adjacency[j].push_back(i);
+    cx[i] = static_cast<int>((pts[i].x - lo.x) / cell);
+    cy[i] = static_cast<int>((pts[i].y - lo.y) / cell);
+    cells[static_cast<size_t>(cy[i]) * cols + cx[i]].push_back(i);
+  }
+  for (int i = 0; i < n; ++i) {
+    for (int y = std::max(0, cy[i] - 1); y <= std::min(rows - 1, cy[i] + 1);
+         ++y) {
+      for (int x = std::max(0, cx[i] - 1); x <= std::min(cols - 1, cx[i] + 1);
+           ++x) {
+        for (int j : cells[static_cast<size_t>(y) * cols + x]) {
+          if (j > i && EuclideanDistance(pts[i], pts[j]) <= range) {
+            adj[i].push_back(j);
+            adj[j].push_back(i);
+          }
+        }
       }
     }
   }
-  for (auto& nb : t->adjacency) std::sort(nb.begin(), nb.end());
+  for (auto& nb : adj) std::sort(nb.begin(), nb.end());
+  return adj;
 }
-
-}  // namespace
 
 Result<Topology> MakeRandomTopology(int n, double side, double radio_range,
                                     Rng* rng, bool force_connectivity) {
@@ -84,14 +109,14 @@ Result<Topology> MakeRandomTopology(int n, double side, double radio_range,
     p = {rng->Uniform(0, side), rng->Uniform(0, side)};
   }
   double range = radio_range;
-  BuildDiskAdjacency(&t, range);
+  t.adjacency = BuildDiskAdjacency(t.positions, range);
   if (force_connectivity) {
     // Grow the range until the unit-disk graph is connected.  The diagonal
     // of the region is a hard upper bound, so this always terminates.
     const double max_range = std::sqrt(2.0) * side + 1.0;
     while (!IsConnected(t.adjacency) && range < max_range) {
       range *= 1.1;
-      BuildDiskAdjacency(&t, range);
+      t.adjacency = BuildDiskAdjacency(t.positions, range);
     }
     if (!IsConnected(t.adjacency)) {
       return Status::Internal("failed to connect random topology");

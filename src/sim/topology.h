@@ -44,6 +44,13 @@ struct Topology {
 /// grid cell (r, c) is r * cols + c.
 Topology MakeGridTopology(int rows, int cols, double spacing = 1.0);
 
+/// Unit-disk adjacency over `positions`: i and j are neighbors when
+/// EuclideanDistance(i, j) <= range (range > 0).  Lists are sorted
+/// ascending.  Points are bucketed into a uniform grid of cells at least
+/// `range` wide, so only pairs in neighboring cells are compared.
+std::vector<std::vector<int>> BuildDiskAdjacency(
+    const std::vector<Point2D>& positions, double range);
+
 /// Uniform-random placement of n nodes on a square of side `side`, connected
 /// as a unit-disk graph with `radio_range`.  When `force_connectivity` is
 /// set, the radio range is grown (by 10% steps) until the graph is connected,

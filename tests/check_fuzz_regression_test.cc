@@ -50,6 +50,37 @@ TEST(CheckFuzzRegressionTest, MaintenanceMutualAdoptionCycleSeed412) {
   EXPECT_TRUE(out.ok()) << out.Summary();
 }
 
+TEST(CheckFuzzRegressionTest, MaintenanceStaleVerifiedBaselineSeeds) {
+  // Found by the 1000-seed sweep in fire-front churn scenarios with crashes.
+  // A member accepted a root push (or relabel) and stayed in range, but kept
+  // the verified feature it had checked against the *old* root feature.
+  // The A1/A2 shortcuts measure drift against that baseline, so once the
+  // root had moved more than delta away from it, a later update back toward
+  // the old baseline was absorbed silently while more than delta from the
+  // root.  Fixed by re-verifying the current feature whenever an accepted
+  // root feature leaves the old baseline out of range.  Each seed runs with
+  // its full knobs and with its shrunk minimal knob set.
+  const struct {
+    uint64_t seed;
+    const char* minimal_disable;
+  } kCases[] = {
+      {611, "faults,async,reliable,slack,wirefuzz,causal,serve"},
+      {772, "faults,async,reliable,slack,wirefuzz,causal,serve"},
+      {971, "faults,async,reliable,slack,topology,wirefuzz,causal,serve"},
+  };
+  for (const auto& c : kCases) {
+    const CheckOutcome full = RunScenario(Protocol::kMaintenance, c.seed);
+    EXPECT_TRUE(full.ok()) << "seed " << c.seed << ": " << full.Summary();
+    const Result<ScenarioKnobs> knobs =
+        ScenarioKnobs::FromDisableList(c.minimal_disable);
+    ASSERT_TRUE(knobs.ok());
+    const CheckOutcome minimal =
+        RunScenario(Protocol::kMaintenance, c.seed, knobs.value());
+    EXPECT_TRUE(minimal.ok()) << "seed " << c.seed << " (minimal): "
+                              << minimal.Summary();
+  }
+}
+
 TEST(CheckFuzzRegressionTest, ReliableRoutedSelfAckSeed62) {
   // Found by check_fuzz: ReliableChannel acked a routed self-delivery
   // (rel_from == from == self) with Network::Send(self, self), which fails

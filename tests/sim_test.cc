@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -219,6 +220,60 @@ TEST(TopologyTest, RejectsBadArguments) {
   EXPECT_FALSE(MakeRandomTopologyWithDegree(5, 0.0, 4.0, &rng).ok());
 }
 
+// All-pairs reference for BuildDiskAdjacency: the same distance test over
+// every pair, lists sorted.
+AdjacencyList AllPairsDiskAdjacency(const std::vector<Point2D>& pts,
+                                    double range) {
+  const int n = static_cast<int>(pts.size());
+  AdjacencyList adj(n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      if (EuclideanDistance(pts[i], pts[j]) <= range) {
+        adj[i].push_back(j);
+        adj[j].push_back(i);
+      }
+    }
+  }
+  for (auto& nb : adj) std::sort(nb.begin(), nb.end());
+  return adj;
+}
+
+TEST(TopologyTest, GridBucketedDiskAdjacencyMatchesAllPairs) {
+  Rng rng(89);
+  for (int trial = 0; trial < 6; ++trial) {
+    const int n = 50 + 150 * trial;
+    const double side = 4.0 + 3.0 * trial;
+    std::vector<Point2D> pts(n);
+    for (auto& p : pts) p = {rng.Uniform(0, side), rng.Uniform(0, side)};
+    for (double range : {0.01, 0.3, 0.75, 1.0, 2.5, side, 2.0 * side}) {
+      EXPECT_EQ(BuildDiskAdjacency(pts, range),
+                AllPairsDiskAdjacency(pts, range))
+          << "trial " << trial << " range " << range;
+    }
+  }
+}
+
+TEST(TopologyTest, GridBucketedDiskAdjacencyOnCellEdges) {
+  // Lattice points at multiples of the range (and of half of it) sit on the
+  // bucket boundaries, and axis neighbors are exactly `range` apart.
+  for (double range : {0.25, 0.5, 1.0, 0.1, 0.3, 1.7}) {
+    for (double step : {range, range / 2.0, range * 3.0}) {
+      std::vector<Point2D> pts;
+      for (int r = 0; r < 12; ++r) {
+        for (int c = 0; c < 12; ++c) pts.push_back({c * step, r * step});
+      }
+      // Off-lattice points just inside and just outside the range.
+      pts.push_back({std::nextafter(range, 0.0), 0.0});
+      pts.push_back({std::nextafter(range, 2.0 * range), 5.0 * step});
+      pts.push_back({-range, -range});
+      EXPECT_EQ(BuildDiskAdjacency(pts, range),
+                AllPairsDiskAdjacency(pts, range))
+          << "range " << range << " step " << step;
+    }
+  }
+  EXPECT_TRUE(BuildDiskAdjacency({}, 1.0).empty());
+}
+
 TEST(GraphTest, HopDistancesOnGrid) {
   Topology t = MakeGridTopology(3, 3);
   const auto dist = HopDistancesFrom(t.adjacency, 0);
@@ -270,23 +325,6 @@ TEST(GraphTest, ShortestHopPathEndpointsAndLength) {
   for (size_t i = 0; i + 1 < path.size(); ++i) {
     EXPECT_TRUE(t.HasEdge(path[i], path[i + 1]));
   }
-}
-
-TEST(GraphTest, RoutingTableMatchesBfs) {
-  Topology t = MakeGridTopology(4, 4);
-  RoutingTable rt(t.adjacency, 5);
-  const auto dist = HopDistancesFrom(t.adjacency, 5);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(rt.HopsToRoot(i), dist[i]);
-  }
-  EXPECT_EQ(rt.NextHopToRoot(5), -1);
-  // Following next hops from any node reaches the root in HopsToRoot steps.
-  int cur = 15, steps = 0;
-  while (cur != 5) {
-    cur = rt.NextHopToRoot(cur);
-    ++steps;
-  }
-  EXPECT_EQ(steps, rt.HopsToRoot(15));
 }
 
 // -- Network ------------------------------------------------------------------
@@ -385,6 +423,153 @@ TEST(NetworkTest, HopDistanceMatchesGraph) {
   Network& net = *net_ptr;
   EXPECT_EQ(net.HopDistance(0, 8), 4);
   EXPECT_EQ(net.HopDistance(3, 3), 0);
+}
+
+/// A routed send's relay transmissions, as (from, to) pairs.
+using Hops = std::vector<std::pair<int, int>>;
+
+/// Records the relay hops and drops of routed sends.
+class HopLog : public SimObserver {
+ public:
+  void OnHop(double at, int from, int to, const Message& msg) override {
+    (void)at, (void)msg;
+    hops.push_back({from, to});
+  }
+  void OnDrop(double at, int from, int to, const Message& msg) override {
+    (void)at, (void)from, (void)to, (void)msg;
+    ++drops;
+  }
+  Hops hops;
+  int drops = 0;
+};
+
+/// The relay sequence of a route from `from` up the BFS tree rooted at `to`.
+Hops BfsChain(const AdjacencyList& adj, int from, int to) {
+  const std::vector<int> parent = BfsTreeParents(adj, to);
+  Hops chain;
+  for (int cur = from; cur != to; cur = parent[cur]) {
+    chain.push_back({cur, parent[cur]});
+  }
+  return chain;
+}
+
+Message RoutedMessage() {
+  Message m;
+  m.type = 2;
+  m.category = "routed";
+  return m;
+}
+
+TEST(NetworkTest, RoutedHopsFollowBfsTreeOfDestination) {
+  for (uint64_t seed : {3u, 17u, 29u}) {
+    Rng rng(seed);
+    Result<Topology> t = MakeRandomTopologyWithDegree(300, 0.8, 4.0, &rng);
+    ASSERT_TRUE(t.ok());
+    const AdjacencyList adj = t.value().adjacency;
+    Network::Config cfg;
+    cfg.synchronous = false;
+    cfg.seed = seed;
+    Network net(std::move(t).value(), cfg);
+    net.InstallNodes([](int) { return std::make_unique<RecorderNode>(); });
+    HopLog log;
+    net.set_observer(&log);
+    for (int k = 0; k < 200; ++k) {
+      const int from = static_cast<int>(rng.UniformInt(300));
+      const int to = static_cast<int>(rng.UniformInt(300));
+      const int expect_hops = HopDistancesFrom(adj, to)[from];
+      EXPECT_EQ(net.HopDistance(from, to), expect_hops);
+      log.hops.clear();
+      EXPECT_EQ(net.SendRouted(from, to, RoutedMessage()), expect_hops);
+      EXPECT_EQ(log.hops, BfsChain(adj, from, to))
+          << "seed " << seed << " " << from << " -> " << to;
+    }
+    net.Run();
+    EXPECT_EQ(log.drops, 0);
+  }
+}
+
+/// A 3x3 grid network (ids r * 3 + c) running `churn`, with a hop log.
+struct ChurnGrid {
+  explicit ChurnGrid(ChurnPlan churn) {
+    Network::Config cfg;
+    cfg.seed = 5;
+    cfg.churn = std::move(churn);
+    net = std::make_unique<Network>(MakeGridTopology(3, 3), cfg);
+    net->InstallNodes([](int) { return std::make_unique<RecorderNode>(); });
+    net->set_observer(&log);
+  }
+  /// Sends 0 -> 2 at `at` and records the hop sequence it took.
+  void SendAt(double at, Hops* hops) {
+    net->ScheduleAfter(at, [this, hops] {
+      log.hops.clear();
+      net->SendRouted(0, 2, RoutedMessage());
+      *hops = log.hops;
+    });
+  }
+  std::unique_ptr<Network> net;
+  HopLog log;
+};
+
+TEST(NetworkTest, RoutedSendAvoidsAbsentRelayFromTheChurnInstant) {
+  // 0 -> 2 normally relays through 1.  Node 1 is down over [3, 5): a send at
+  // the very instant of the crash (scheduled after the churn event, so it
+  // runs second) already detours, and one at the repair instant is back on
+  // the short path.
+  ChurnPlan plan;
+  plan.crashes.push_back({1, 3.0, 5.0});
+  ChurnGrid g(plan);
+  Hops before, at_crash, at_repair;
+  g.SendAt(0.0, &before);
+  g.SendAt(3.0, &at_crash);
+  g.SendAt(5.0, &at_repair);
+  g.net->Run();
+  EXPECT_EQ(before, (Hops{{0, 1}, {1, 2}}));
+  EXPECT_EQ(at_crash, (Hops{{0, 3}, {3, 4}, {4, 5}, {5, 2}}));
+  EXPECT_EQ(at_repair, (Hops{{0, 1}, {1, 2}}));
+  EXPECT_EQ(g.net->churn_drops(), 0u);
+  EXPECT_EQ(g.log.drops, 0);
+}
+
+TEST(NetworkTest, RoutedSendToAbsentDestinationIsOneChurnDrop) {
+  ChurnPlan plan;
+  plan.leaves.push_back({2, 1.0});
+  ChurnGrid g(plan);
+  Hops hops = {{-1, -1}};
+  g.SendAt(1.0, &hops);
+  g.net->Run();
+  EXPECT_TRUE(hops.empty());
+  EXPECT_EQ(g.net->churn_drops(), 1u);
+  EXPECT_EQ(g.net->stats().dropped_sends(), 1u);
+  EXPECT_EQ(g.net->stats().total_sends(), 0u);
+  EXPECT_EQ(g.log.drops, 1);
+  EXPECT_EQ(g.net->HopDistance(0, 2), -1);
+}
+
+TEST(NetworkTest, RoutedSendAcrossLinkPartitionIsOneChurnDrop) {
+  // Removing 1-2 and 4-5 at t=2 leaves column 2 reachable only via 7-8;
+  // also removing 7-8 cuts it off.  A send at the removal instant already
+  // sees the edited adjacency.
+  ChurnPlan plan;
+  plan.link_changes.push_back({1, 2, 2.0, false});
+  plan.link_changes.push_back({4, 5, 2.0, false});
+  ChurnGrid g(plan);
+  Hops detour;
+  g.SendAt(2.0, &detour);
+  g.net->Run();
+  EXPECT_EQ(detour, (Hops{{0, 1}, {1, 4}, {4, 7}, {7, 8}, {8, 5}, {5, 2}}));
+
+  plan.link_changes.push_back({7, 8, 2.0, false});
+  ChurnGrid cut(plan);
+  Hops none = {{-1, -1}};
+  cut.SendAt(2.0, &none);
+  cut.net->Run();
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(cut.net->churn_drops(), 1u);
+  EXPECT_EQ(cut.net->stats().dropped_sends(), 1u);
+  EXPECT_EQ(cut.log.drops, 1);
+  EXPECT_EQ(cut.net->HopDistance(0, 2), -1);
+  EXPECT_EQ(cut.net->HopDistance(0, 8), -1);
+  EXPECT_EQ(cut.net->HopDistance(0, 7), 3);
 }
 
 TEST(NetworkTest, TimersFire) {
