@@ -1,7 +1,5 @@
 #include "cluster/clustering.h"
 
-#include <algorithm>
-#include <deque>
 #include <map>
 #include <set>
 
@@ -70,45 +68,61 @@ Status ValidateDeltaClustering(const Clustering& clustering,
 
 int RepairDisconnectedClusters(Clustering* clustering,
                                const AdjacencyList& adjacency) {
-  const size_t n = adjacency.size();
+  std::vector<int>& root_of = clustering->root_of;
+  const int n = static_cast<int>(adjacency.size());
+  // One pass over the graph, following only edges inside a cluster: every
+  // search starts at the smallest unvisited member, so a component that
+  // loses its cluster root is promoted to the node its search started at.
+  // Roots are rewritten after all components are known, so every search
+  // sees the original assignment.
+  std::vector<int> start_of(n, -1);
+  std::vector<int> queue;
   int created = 0;
-  for (const auto& [root, members] : clustering->Groups()) {
-    std::vector<char> mask(n, 0);
-    for (int m : members) mask[m] = 1;
-    const std::vector<int> comp = InducedComponents(adjacency, mask);
-    const int root_comp = comp[root];
-    // Smallest member id per non-root component becomes its new root.
-    std::map<int, int> new_root_of_comp;
-    for (int m : members) {
-      if (comp[m] == root_comp) continue;
-      auto [it, inserted] = new_root_of_comp.emplace(comp[m], m);
-      if (!inserted) it->second = std::min(it->second, m);
-    }
-    created += static_cast<int>(new_root_of_comp.size());
-    for (int m : members) {
-      if (comp[m] != root_comp) {
-        clustering->root_of[m] = new_root_of_comp[comp[m]];
+  for (int s = 0; s < n; ++s) {
+    if (root_of[s] < 0 || start_of[s] >= 0) continue;
+    const int root = root_of[s];
+    start_of[s] = s;
+    queue.assign(1, s);
+    bool has_root = s == root;
+    for (size_t head = 0; head < queue.size(); ++head) {
+      for (int v : adjacency[queue[head]]) {
+        if (root_of[v] != root || start_of[v] >= 0) continue;
+        start_of[v] = s;
+        has_root |= v == root;
+        queue.push_back(v);
       }
     }
+    if (has_root) {
+      for (int m : queue) start_of[m] = root;
+    } else {
+      ++created;
+    }
+  }
+  for (int i = 0; i < n; ++i) {
+    if (root_of[i] >= 0) root_of[i] = start_of[i];
   }
   return created;
 }
 
 std::vector<int> BuildClusterTrees(const Clustering& clustering,
                                    const AdjacencyList& adjacency) {
-  const size_t n = adjacency.size();
+  const std::vector<int>& root_of = clustering.root_of;
+  const int n = static_cast<int>(adjacency.size());
+  std::vector<char> is_root(n, 0);
+  for (int r : root_of) {
+    if (r >= 0) is_root[r] = 1;
+  }
+  // BFS from each root (ascending) restricted to its cluster's members.
   std::vector<int> parent(n, -1);
-  for (const auto& [root, members] : clustering.Groups()) {
-    std::vector<char> mask(n, 0);
-    for (int m : members) mask[m] = 1;
-    // BFS from the root restricted to cluster members.
-    std::deque<int> queue{root};
+  std::vector<int> queue;
+  for (int root = 0; root < n; ++root) {
+    if (!is_root[root]) continue;
     parent[root] = root;
-    while (!queue.empty()) {
-      const int u = queue.front();
-      queue.pop_front();
+    queue.assign(1, root);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const int u = queue[head];
       for (int v : adjacency[u]) {
-        if (mask[v] && parent[v] < 0) {
+        if (root_of[v] == root && parent[v] < 0) {
           parent[v] = u;
           queue.push_back(v);
         }

@@ -1,8 +1,12 @@
 #include "index/backbone.h"
 
 #include <algorithm>
-#include <deque>
-#include <set>
+#include <cstdint>
+#include <functional>
+#include <queue>
+#include <string>
+#include <tuple>
+#include <utility>
 
 namespace elink {
 
@@ -13,41 +17,48 @@ Backbone Backbone::Build(const Clustering& clustering,
                          const DistanceMetric* metric) {
   Backbone bb;
   const int n = static_cast<int>(adjacency.size());
+  const std::string kCategory = "backbone_build";
 
-  std::set<int> leader_set;
-  for (int i = 0; i < n; ++i) leader_set.insert(clustering.root_of[i]);
-  bb.leaders_.assign(leader_set.begin(), leader_set.end());
+  bb.tree_parent_.assign(n, -1);
+  bb.tree_children_.resize(n);
+  bb.parent_hops_.assign(n, 0);
+  std::vector<char> is_leader(n, 0);
+  for (int i = 0; i < n; ++i) is_leader[clustering.root_of[i]] = 1;
+  for (int i = 0; i < n; ++i) {
+    if (is_leader[i]) bb.leaders_.push_back(i);
+  }
 
-  // Cluster-level adjacency from boundary edges, with discovery accounting:
-  // each boundary pair exchanges leader ids across the edge once.
-  std::map<int, std::set<int>> cluster_adj;
-  std::set<std::pair<int, int>> seen_pairs;
+  // Cluster-level adjacency from boundary edges, as sorted, de-duplicated
+  // neighbour lists indexed by leader id.  Discovery accounting: each pair
+  // of adjacent clusters exchanges leader ids once, one message per
+  // direction, so one per directed link.
+  std::vector<std::pair<int, int>> links;
   for (int u = 0; u < n; ++u) {
     for (int v : adjacency[u]) {
       if (u > v) continue;
       const int ru = clustering.root_of[u];
       const int rv = clustering.root_of[v];
       if (ru == rv) continue;
-      cluster_adj[ru].insert(rv);
-      cluster_adj[rv].insert(ru);
-      if (build_stats != nullptr &&
-          seen_pairs.insert(std::minmax(ru, rv)).second) {
-        build_stats->Record("backbone_build", 1);
-        build_stats->Record("backbone_build", 1);
-      }
+      links.emplace_back(ru, rv);
+      links.emplace_back(rv, ru);
+    }
+  }
+  std::sort(links.begin(), links.end());
+  links.erase(std::unique(links.begin(), links.end()), links.end());
+  std::vector<std::vector<int>> cluster_adj(n);
+  for (const auto& [a, b] : links) cluster_adj[a].push_back(b);
+  if (build_stats != nullptr) {
+    for (size_t k = 0; k < links.size(); ++k) {
+      build_stats->Record(kCategory, 1);
     }
   }
 
-  // Hop tables per leader (used for backbone link costs).
-  for (int leader : bb.leaders_) {
-    bb.hops_from_leader_[leader] = HopDistancesFrom(adjacency, leader);
-    bb.tree_children_[leader] = {};
-  }
-
+  std::vector<char> in_tree(n, 0);
   if (features != nullptr && metric != nullptr && bb.leaders_.size() > 1) {
     // Feature-aware tree: root at the leader medoid, then Prim's algorithm
     // with leader feature distances as weights, so feature-similar clusters
-    // land in the same subtree.
+    // land in the same subtree.  A candidate is dropped as soon as its
+    // eccentricity reaches the best one; only a strictly smaller one wins.
     int root = bb.leaders_.front();
     double best_ecc = 1e300;
     for (int cand : bb.leaders_) {
@@ -55,6 +66,7 @@ Backbone Backbone::Build(const Clustering& clustering,
       for (int other : bb.leaders_) {
         ecc = std::max(
             ecc, metric->Distance((*features)[cand], (*features)[other]));
+        if (ecc >= best_ecc) break;
       }
       if (ecc < best_ecc) {
         best_ecc = ecc;
@@ -63,63 +75,88 @@ Backbone Backbone::Build(const Clustering& clustering,
     }
     bb.tree_root_ = root;
     bb.tree_parent_[root] = root;
-    std::set<int> visited{root};
-    while (visited.size() < bb.leaders_.size()) {
-      // Cheapest cluster-graph edge from the tree to an unvisited leader.
-      double best_w = 1e300;
-      int best_from = -1, best_to = -1;
-      for (int in : visited) {
-        for (int out : cluster_adj[in]) {
-          if (visited.count(out)) continue;
-          const double w =
-              metric->Distance((*features)[in], (*features)[out]);
-          if (w < best_w || (w == best_w && out < best_to)) {
-            best_w = w;
-            best_from = in;
-            best_to = out;
-          }
-        }
+    // Lazy min-heap of crossing edges (weight, joining leader, tree leader):
+    // the cheapest edge to an outside leader, ties to the smaller joining
+    // then the smaller tree leader.
+    using Edge = std::tuple<double, int, int>;
+    std::priority_queue<Edge, std::vector<Edge>, std::greater<Edge>> heap;
+    auto join = [&](int in) {
+      in_tree[in] = 1;
+      for (int out : cluster_adj[in]) {
+        if (in_tree[out]) continue;
+        heap.emplace(metric->Distance((*features)[in], (*features)[out]), out,
+                     in);
       }
-      ELINK_CHECK(best_to >= 0);  // Cluster graph is connected.
-      bb.tree_parent_[best_to] = best_from;
-      bb.tree_children_[best_from].push_back(best_to);
-      visited.insert(best_to);
+    };
+    join(root);
+    for (size_t joined = 1; joined < bb.leaders_.size(); ++joined) {
+      while (!heap.empty() && in_tree[std::get<1>(heap.top())]) heap.pop();
+      ELINK_CHECK(!heap.empty());  // Cluster graph is connected.
+      const auto [w, to, from] = heap.top();
+      heap.pop();
+      bb.tree_parent_[to] = from;
+      bb.tree_children_[from].push_back(to);
+      join(to);
     }
-    for (auto& [leader, kids] : bb.tree_children_) {
-      (void)leader;
-      std::sort(kids.begin(), kids.end());
+    for (int leader : bb.leaders_) {
+      std::sort(bb.tree_children_[leader].begin(),
+                bb.tree_children_[leader].end());
     }
   } else {
     // BFS spanning tree over the cluster graph from the smallest leader id.
     bb.tree_root_ = bb.leaders_.front();
     bb.tree_parent_[bb.tree_root_] = bb.tree_root_;
-    std::deque<int> queue{bb.tree_root_};
-    std::set<int> visited{bb.tree_root_};
-    while (!queue.empty()) {
-      const int cur = queue.front();
-      queue.pop_front();
+    std::vector<int> queue{bb.tree_root_};
+    in_tree[bb.tree_root_] = 1;
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const int cur = queue[head];
       for (int nb : cluster_adj[cur]) {
-        if (visited.insert(nb).second) {
-          bb.tree_parent_[nb] = cur;
-          bb.tree_children_[cur].push_back(nb);
-          queue.push_back(nb);
-        }
+        if (in_tree[nb]) continue;
+        in_tree[nb] = 1;
+        bb.tree_parent_[nb] = cur;
+        bb.tree_children_[cur].push_back(nb);
+        queue.push_back(nb);
       }
     }
     // A connected communication graph yields a connected cluster graph.
-    ELINK_CHECK(visited.size() == bb.leaders_.size());
+    ELINK_CHECK(queue.size() == bb.leaders_.size());
   }
 
-  for (int leader : bb.leaders_) {
-    const int parent = bb.tree_parent_[leader];
-    if (parent != leader) {
-      const int hops = bb.route_hops(leader, parent);
+  // Hops of every tree edge: a BFS from the leader that stops once it
+  // discovers its parent, over scratch reused across leaders (seen[v] ==
+  // epoch marks v visited by the current search).
+  {
+    std::vector<uint32_t> seen(n, 0);
+    std::vector<int> dist(n, 0);
+    std::vector<int> queue;
+    uint32_t epoch = 0;
+    for (int leader : bb.leaders_) {
+      const int parent = bb.tree_parent_[leader];
+      if (parent == leader) continue;
+      ++epoch;
+      seen[leader] = epoch;
+      dist[leader] = 0;
+      queue.assign(1, leader);
+      int hops = 0;
+      for (size_t head = 0; head < queue.size() && hops == 0; ++head) {
+        const int u = queue[head];
+        for (int v : adjacency[u]) {
+          if (seen[v] == epoch) continue;
+          seen[v] = epoch;
+          dist[v] = dist[u] + 1;
+          if (v == parent) {
+            hops = dist[v];
+            break;
+          }
+          queue.push_back(v);
+        }
+      }
+      ELINK_CHECK(hops > 0);
+      bb.parent_hops_[leader] = hops;
       bb.total_tree_hops_ += hops;
       if (build_stats != nullptr) {
         // Tree agreement: each leader notifies its chosen parent.
-        for (int h = 0; h < hops; ++h) {
-          build_stats->Record("backbone_build", 1);
-        }
+        for (int h = 0; h < hops; ++h) build_stats->Record(kCategory, 1);
       }
     }
   }
@@ -131,25 +168,18 @@ Backbone Backbone::Build(const Clustering& clustering,
   {
     const std::vector<int> parents =
         BfsTreeParents(adjacency, bb.tree_root_);
-    std::set<int> marked;
+    std::vector<char> marked(n, 0);
+    int num_marked = 0;
     for (int leader : bb.leaders_) {
-      for (int cur = leader; marked.insert(cur).second && cur != bb.tree_root_;
-           cur = parents[cur]) {
+      for (int cur = leader; !marked[cur]; cur = parents[cur]) {
+        marked[cur] = 1;
+        ++num_marked;
+        if (cur == bb.tree_root_) break;
       }
     }
-    marked.insert(bb.tree_root_);
-    bb.flood_hops_ = static_cast<int>(marked.size()) - 1;
+    bb.flood_hops_ = num_marked - 1;
   }
   return bb;
-}
-
-int Backbone::route_hops(int leader_a, int leader_b) const {
-  if (leader_a == leader_b) return 0;
-  const auto it = hops_from_leader_.find(leader_a);
-  ELINK_CHECK(it != hops_from_leader_.end());
-  const int hops = it->second[leader_b];
-  ELINK_CHECK(hops > 0);
-  return hops;
 }
 
 }  // namespace elink

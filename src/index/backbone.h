@@ -7,10 +7,14 @@
 // charged per hop.  The construction cost (boundary discovery plus the tree
 // agreement wave) is recorded so it can be accounted into the clustering
 // cost as Section 8.2 prescribes.
+//
+// Queries only ever cross tree edges, so the backbone keeps one hop count
+// per leader (to its tree parent), each found by a BFS from the leader that
+// stops at the parent.  Every table is indexed by node id: a backbone holds
+// O(N) memory whatever the number of leaders.
 #ifndef ELINK_INDEX_BACKBONE_H_
 #define ELINK_INDEX_BACKBONE_H_
 
-#include <map>
 #include <vector>
 
 #include "cluster/clustering.h"
@@ -23,15 +27,17 @@ namespace elink {
 /// \brief The leader backbone of a clustering.
 class Backbone {
  public:
-  /// Builds the backbone.  Construction messages go to `build_stats`
-  /// (category "backbone_build") when non-null.
+  /// Builds the backbone over an undirected communication graph.
+  /// Construction messages go to `build_stats` (category "backbone_build")
+  /// when non-null.
   ///
   /// When `features`/`metric` are supplied, the spanning tree over the
   /// cluster-adjacency graph is chosen by Prim's algorithm on leader feature
   /// distances, rooted at the leader medoid: feature-similar clusters group
   /// into the same backbone subtree, which is what makes the upper-level
-  /// covering-radius pruning of the query engines effective.  Without
-  /// features the tree is a plain BFS tree (hop-oriented).
+  /// covering-radius pruning of the query engines effective.  Ties between
+  /// equal weights go to the smaller joining leader, then the smaller tree
+  /// leader.  Without features the tree is a plain BFS tree (hop-oriented).
   static Backbone Build(const Clustering& clustering,
                         const AdjacencyList& adjacency,
                         MessageStats* build_stats = nullptr,
@@ -43,22 +49,31 @@ class Backbone {
 
   /// Parent of a leader in the backbone tree (the tree root's parent is
   /// itself).  Only valid for leader ids.
-  int tree_parent(int leader) const { return tree_parent_.at(leader); }
+  int tree_parent(int leader) const {
+    CheckLeader(leader);
+    return tree_parent_[leader];
+  }
 
   /// Children of a leader in the backbone tree, ascending.
   const std::vector<int>& tree_children(int leader) const {
-    return tree_children_.at(leader);
+    CheckLeader(leader);
+    return tree_children_[leader];
   }
 
   /// The leader whose cluster graph BFS rooted the tree.
   int tree_root() const { return tree_root_; }
 
-  /// Communication-graph hop distance between two leaders (how many
-  /// transmissions one backbone-link traversal costs).
-  int route_hops(int leader_a, int leader_b) const;
+  /// Communication-graph hop distance between a leader and its tree parent:
+  /// how many transmissions one traversal of that backbone link costs, in
+  /// either direction.  Always positive except for the tree root (0).
+  /// Only valid for leader ids.
+  int parent_hops(int leader) const {
+    CheckLeader(leader);
+    return parent_hops_[leader];
+  }
 
-  /// Sum of route_hops over all backbone tree edges (independent
-  /// point-to-point legs between tree-adjacent leaders).
+  /// Sum of parent_hops over all leaders (independent point-to-point legs
+  /// between tree-adjacent leaders).
   int total_tree_hops() const { return total_tree_hops_; }
 
   /// Transmissions needed to deliver one message to *every* leader by
@@ -72,14 +87,20 @@ class Backbone {
  private:
   Backbone() = default;
 
+  void CheckLeader(int leader) const {
+    ELINK_CHECK(leader >= 0 &&
+                leader < static_cast<int>(tree_parent_.size()) &&
+                tree_parent_[leader] >= 0);
+  }
+
   std::vector<int> leaders_;
-  std::map<int, int> tree_parent_;
-  std::map<int, std::vector<int>> tree_children_;
+  // Indexed by node id; tree_parent_ is -1 for nodes that lead no cluster.
+  std::vector<int> tree_parent_;
+  std::vector<std::vector<int>> tree_children_;
+  std::vector<int> parent_hops_;
   int tree_root_ = -1;
   int total_tree_hops_ = 0;
   int flood_hops_ = 0;
-  // Hop distances from each leader to every node (for route_hops).
-  std::map<int, std::vector<int>> hops_from_leader_;
 };
 
 }  // namespace elink

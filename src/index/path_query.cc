@@ -80,7 +80,7 @@ void PathQueryEngine::VisitBackbone(int leader, const Feature& danger,
     if (d_child + child_radius < gamma - 1e-12) {
       continue;  // Whole backbone subtree unsafe.
     }
-    const int hops = backbone_.route_hops(leader, child);
+    const int hops = backbone_.parent_hops(child);
     for (int h = 0; h < hops; ++h) {
       result->stats.Record("path_backbone", units);
     }
@@ -145,7 +145,7 @@ PathQueryResult PathQueryEngine::Query(int source, int destination,
   // source's leader to the backbone root is charged first.
   for (int cur = clustering_.root_of[source];
        backbone_.tree_parent(cur) != cur; cur = backbone_.tree_parent(cur)) {
-    const int hops = backbone_.route_hops(cur, backbone_.tree_parent(cur));
+    const int hops = backbone_.parent_hops(cur);
     for (int h = 0; h < hops; ++h) result.stats.Record("path_route", units);
   }
   std::vector<char> safe(n, 0);
@@ -193,7 +193,7 @@ PathQueryResult PathQueryEngine::Query(int source, int destination,
   for (int leader : safe_clusters) {
     const int p = backbone_.tree_parent(leader);
     if (p != leader) {
-      const int hops = backbone_.route_hops(leader, p);
+      const int hops = backbone_.parent_hops(leader);
       for (int h = 0; h < hops; ++h) {
         result.stats.Record("path_search", 1);
       }

@@ -381,7 +381,7 @@ Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
   for (int leader : safe_clusters) {
     const int p = backbone_.tree_parent(leader);
     if (p != leader) {
-      const int hops = backbone_.route_hops(leader, p);
+      const int hops = backbone_.parent_hops(leader);
       for (int h = 0; h < hops; ++h) {
         result.stats.Record("path_search", 1);
       }

@@ -78,7 +78,7 @@ RangeQueryResult RangeQueryEngine::Query(int initiator, const Feature& q,
   // 2. Initiator's root -> the backbone tree root along the backbone.
   for (int cur = init_root; backbone_.tree_parent(cur) != cur;
        cur = backbone_.tree_parent(cur)) {
-    const int hops = backbone_.route_hops(cur, backbone_.tree_parent(cur));
+    const int hops = backbone_.parent_hops(cur);
     for (int h = 0; h < hops; ++h) {
       result.stats.Record("query_route", query_units);
       result.stats.Record("query_collect", 1);  // Final aggregate back.
@@ -128,7 +128,7 @@ void RangeQueryEngine::VisitBackbone(int leader, const Feature& q, double r,
       // Entire backbone subtree matches; one aggregate exchange.
       const auto& all = backbone_members_.at(child);
       result->matches.insert(result->matches.end(), all.begin(), all.end());
-      const int hops = backbone_.route_hops(leader, child);
+      const int hops = backbone_.parent_hops(child);
       for (int h = 0; h < hops; ++h) {
         result->stats.Record("query_backbone", query_units);
         result->stats.Record("query_collect", 1);
@@ -137,7 +137,7 @@ void RangeQueryEngine::VisitBackbone(int leader, const Feature& q, double r,
       continue;
     }
     // Inconclusive: forward the query over this backbone link and recurse.
-    const int hops = backbone_.route_hops(leader, child);
+    const int hops = backbone_.parent_hops(child);
     for (int h = 0; h < hops; ++h) {
       result->stats.Record("query_backbone", query_units);
       result->stats.Record("query_collect", 1);

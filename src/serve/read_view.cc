@@ -75,23 +75,12 @@ std::shared_ptr<const ReadView> ReadView::Build(
   }
   if (clustering_sound) {
     // Every cluster's live members must stay connected through live links,
-    // or BuildClusterTrees cannot produce valid trees.
-    std::vector<std::vector<char>> members;
-    std::vector<int> slot(m, -1);
-    for (int c = 0; c < m; ++c) {
-      const int r = view->compact_clustering_.root_of[c];
-      if (slot[r] < 0) {
-        slot[r] = static_cast<int>(members.size());
-        members.emplace_back(m, 0);
-      }
-      members[slot[r]][c] = 1;
-    }
-    for (const auto& mask : members) {
-      if (!IsInducedConnected(view->compact_adjacency_, mask)) {
-        clustering_sound = false;
-        break;
-      }
-    }
+    // or BuildClusterTrees cannot produce valid trees.  Every root is its
+    // own root here, so a cluster is split exactly when the repair pass
+    // would promote a fragment of it.
+    Clustering split = view->compact_clustering_;
+    clustering_sound =
+        RepairDisconnectedClusters(&split, view->compact_adjacency_) == 0;
   }
 
   // The backbone-routed engine stack additionally needs a connected live

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <map>
 #include <set>
 
 #include "cluster/clustering.h"
@@ -129,6 +131,103 @@ TEST(ClusterTreesTest, TreesSpanClustersAndRespectEdges) {
 }
 
 // -- Quadtree -----------------------------------------------------------------
+
+// Reference versions of RepairDisconnectedClusters and BuildClusterTrees:
+// one N-sized mask and one InducedComponents / BFS pass per cluster.  The
+// library runs both as a single pass over intra-cluster edges; the outputs
+// must agree exactly.
+int ReferenceRepair(Clustering* clustering, const AdjacencyList& adjacency) {
+  const size_t n = adjacency.size();
+  int created = 0;
+  for (const auto& [root, members] : clustering->Groups()) {
+    std::vector<char> mask(n, 0);
+    for (int m : members) mask[m] = 1;
+    const std::vector<int> comp = InducedComponents(adjacency, mask);
+    const int root_comp = comp[root];
+    std::map<int, int> new_root_of_comp;
+    for (int m : members) {
+      if (comp[m] == root_comp) continue;
+      auto [it, inserted] = new_root_of_comp.emplace(comp[m], m);
+      if (!inserted) it->second = std::min(it->second, m);
+    }
+    created += static_cast<int>(new_root_of_comp.size());
+    for (int m : members) {
+      if (comp[m] != root_comp) {
+        clustering->root_of[m] = new_root_of_comp[comp[m]];
+      }
+    }
+  }
+  return created;
+}
+
+std::vector<int> ReferenceClusterTrees(const Clustering& clustering,
+                                       const AdjacencyList& adjacency) {
+  const size_t n = adjacency.size();
+  std::vector<int> parent(n, -1);
+  for (const auto& [root, members] : clustering.Groups()) {
+    std::vector<char> mask(n, 0);
+    for (int m : members) mask[m] = 1;
+    std::deque<int> queue{root};
+    parent[root] = root;
+    while (!queue.empty()) {
+      const int u = queue.front();
+      queue.pop_front();
+      for (int v : adjacency[u]) {
+        if (mask[v] && parent[v] < 0) {
+          parent[v] = u;
+          queue.push_back(v);
+        }
+      }
+    }
+  }
+  return parent;
+}
+
+TEST(RepairTest, SinglePassMatchesPerClusterReference) {
+  Rng rng(2024);
+  int total_created = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const int n = 20 + static_cast<int>(rng.UniformInt(281));
+    Result<Topology> t = MakeRandomTopology(n, 10.0, 1.0 + rng.Uniform01(),
+                                            &rng);
+    ASSERT_TRUE(t.ok());
+    const AdjacencyList& adj = t.value().adjacency;
+    // A few roots, every other node assigned to a random one: clusters are
+    // scattered over the field and strand many fragments.  Some trials also
+    // leave nodes unassigned or point a cluster at a root outside it.
+    const int k = 1 + static_cast<int>(rng.UniformInt(12));
+    std::vector<int> roots;
+    for (int j = 0; j < k; ++j) {
+      roots.push_back(static_cast<int>(rng.UniformInt(n)));
+    }
+    Clustering c;
+    c.root_of.resize(n);
+    for (int i = 0; i < n; ++i) {
+      c.root_of[i] = roots[rng.UniformInt(roots.size())];
+    }
+    for (int r : roots) c.root_of[r] = r;
+    if (trial % 4 == 1) {
+      for (int i = 0; i < n; ++i) {
+        if (rng.Bernoulli(0.1)) c.root_of[i] = -1;
+      }
+    }
+    if (trial % 4 == 2) c.root_of[roots[0]] = roots.back();
+
+    Clustering expected = c;
+    const int expected_created = ReferenceRepair(&expected, adj);
+    const std::vector<int> expected_raw_trees =
+        ReferenceClusterTrees(c, adj);
+    EXPECT_EQ(BuildClusterTrees(c, adj), expected_raw_trees)
+        << "trial " << trial;
+    const int created = RepairDisconnectedClusters(&c, adj);
+    EXPECT_EQ(created, expected_created) << "trial " << trial;
+    EXPECT_EQ(c.root_of, expected.root_of) << "trial " << trial;
+    EXPECT_EQ(BuildClusterTrees(c, adj), ReferenceClusterTrees(c, adj))
+        << "trial " << trial;
+    total_created += created;
+  }
+  EXPECT_GT(total_created, 100);  // The inputs really strand fragments.
+}
 
 TEST(QuadtreeTest, EveryNodeExactlyOneSentinelLevel) {
   Topology t = MakeGridTopology(8, 8);

@@ -21,6 +21,10 @@
 #include "common/rng.h"
 #include "core/clustered_network.h"
 #include "data/terrain.h"
+#include "index/backbone.h"
+#include "index/mtree.h"
+#include "index/path_query.h"
+#include "index/range_query.h"
 #include "serve/session.h"
 #include "serve/workload.h"
 
@@ -102,6 +106,58 @@ TEST(DeterminismGoldenTest, CleanAsynchronousExplicitRunIsBitIdentical) {
             "nack=954, phase1=495, phase2=332, start=163)");
   EXPECT_DOUBLE_EQ(r.completion_time, 153.51833153945844);
   EXPECT_EQ(r.total_switches, 0);
+}
+
+// The leader backbone of the clean explicit run above, built with leader
+// features (medoid root + Prim), and the message charges of one range and
+// one path query routed over it.  Captured before the backbone moved from
+// per-leader hop tables to per-tree-edge hop counts; any change to the tree,
+// its hop counts or the Steiner flood shows up here.
+TEST(DeterminismGoldenTest, BackboneAndQueryChargesAreBitIdentical) {
+  const SensorDataset ds = GoldenDataset();
+  ElinkConfig cfg;
+  cfg.delta = kGoldenDelta;
+  cfg.seed = 77;
+  cfg.synchronous = false;
+  auto res = RunElink(ds, cfg, ElinkMode::kExplicit);
+  ASSERT_TRUE(res.ok());
+  const Clustering& clustering = res.value().clustering;
+  const AdjacencyList& adjacency = ds.topology.adjacency;
+  const std::vector<int> tree_parent = BuildClusterTrees(clustering, adjacency);
+  const ClusterIndex index =
+      ClusterIndex::Build(clustering, tree_parent, ds.features, *ds.metric);
+  MessageStats build_stats;
+  const Backbone backbone = Backbone::Build(clustering, adjacency, &build_stats,
+                                            &ds.features, ds.metric.get());
+
+  uint64_t h = 1469598103934665603ULL;
+  for (int leader : backbone.leaders()) {
+    for (int v : {leader, backbone.tree_parent(leader)}) {
+      h ^= static_cast<uint64_t>(static_cast<uint32_t>(v));
+      h *= 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(backbone.leaders().size(), 15u);
+  EXPECT_EQ(backbone.tree_root(), 94);
+  EXPECT_EQ(h, 1711096518803221140ULL);
+  EXPECT_EQ(backbone.total_tree_hops(), 42);
+  EXPECT_EQ(backbone.flood_hops(), 37);
+  EXPECT_EQ(build_stats.units("backbone_build"), 76u);
+
+  const RangeQueryEngine range(clustering, index, backbone, ds.features,
+                               *ds.metric, kGoldenDelta);
+  const RangeQueryResult r =
+      range.Query(5, ds.features[17], 0.5 * kGoldenDelta);
+  EXPECT_EQ(r.stats.ToString(),
+            "sends=178 units=272 (query_backbone=34, query_collect=84, "
+            "query_descend=132, query_route=22)");
+  const PathQueryEngine path(clustering, index, backbone, adjacency,
+                             ds.features, *ds.metric, kGoldenDelta);
+  const PathQueryResult p = path.Query(0, 77, ds.features[60], 150.0);
+  EXPECT_TRUE(p.found);
+  EXPECT_EQ(p.stats.ToString(),
+            "sends=105 units=175 (path_backbone=46, path_drilldown=92, "
+            "path_route=2, path_search=34, path_trace=1)");
 }
 
 TEST(ParallelTrialRunnerTest, RunsEveryTrialExactlyOnce) {

@@ -158,7 +158,9 @@ TEST(BackboneTest, RouteHopsPositiveAndSymmetricEnough) {
   for (int leader : fx.backbone->leaders()) {
     const int parent = fx.backbone->tree_parent(leader);
     if (parent != leader) {
-      EXPECT_GT(fx.backbone->route_hops(leader, parent), 0);
+      EXPECT_GT(fx.backbone->parent_hops(leader), 0);
+    } else {
+      EXPECT_EQ(fx.backbone->parent_hops(leader), 0);
     }
   }
   EXPECT_GT(fx.backbone->total_tree_hops(),

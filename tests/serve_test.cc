@@ -16,6 +16,7 @@
 #include "serve/result_cache.h"
 #include "serve/session.h"
 #include "serve/workload.h"
+#include "sim/topology.h"
 
 namespace elink {
 namespace serve {
@@ -220,6 +221,30 @@ TEST(ReadViewTest, MidChurnOrphanRootServesExactFallback) {
     }
   }
   EXPECT_EQ(view->Range(q, r).matches, expected);
+}
+
+TEST(ReadViewTest, SplitClusterServesExactFallback) {
+  // Path 0-1-2-3-4, all live.  A cluster {0,1,3,4} split by node 2's own
+  // cluster cannot carry cluster trees; the same path cut into two
+  // contiguous clusters can.
+  const Topology t = MakeGridTopology(1, 5);
+  const std::vector<Feature> features(5, Feature{0.0});
+  auto metric = std::make_shared<WeightedEuclidean>(
+      WeightedEuclidean::Euclidean(1));
+  Clustering split;
+  split.root_of = {0, 0, 2, 0, 0};
+  auto view = ReadView::Build(t.adjacency, features, split, /*live=*/{},
+                              metric, 1.0, {{0, 0}}, 1);
+  EXPECT_FALSE(view->engine_backed());
+  EXPECT_EQ(view->Range({0.0}, 0.5).matches,
+            (std::vector<int>{0, 1, 2, 3, 4}));
+  Clustering contiguous;
+  contiguous.root_of = {0, 0, 0, 3, 3};
+  view = ReadView::Build(t.adjacency, features, contiguous, /*live=*/{},
+                         metric, 1.0, {{0, 0}}, 1);
+  EXPECT_TRUE(view->engine_backed());
+  EXPECT_EQ(view->Range({0.0}, 0.5).matches,
+            (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 // -- Frontend epoch bookkeeping ---------------------------------------------
