@@ -398,6 +398,7 @@ Result<ElinkResult> RunElink(const Topology& topology,
                                : report.end_time;
   result.completed = mode != ElinkMode::kExplicit || ctx.terminated;
   result.stats = net.stats();
+  result.route_memo_entries = net.route_memo()->size();
   result.clustering.root_of.resize(n);
   for (int i = 0; i < n; ++i) {
     auto* node = static_cast<ElinkNode*>(net.node(i));

@@ -113,6 +113,9 @@ struct ElinkResult {
   /// Nodes that never obtained a cluster assignment and were emitted as
   /// singletons (0 on fault-free runs).
   int unclustered_nodes = 0;
+  /// (relay, destination) entries the run's route memo held at the end
+  /// (sim/network.h): the routing state explicit mode leaves behind.
+  size_t route_memo_entries = 0;
 };
 
 /// Runs ELink over `topology` with per-node `features` under `metric`.

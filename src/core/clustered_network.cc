@@ -61,6 +61,14 @@ Status ClusteredSensorNetwork::ValidateInvariant() const {
 }
 
 void ClusteredSensorNetwork::RebuildIndex() {
+  // Drop the stale version (dependents first) before building the next, so
+  // two index versions never share the memory peak.
+  range_protocol_.reset();
+  path_protocol_.reset();
+  range_engine_.reset();
+  path_engine_.reset();
+  backbone_.reset();
+  index_.reset();
   const Clustering& clustering = maintenance_->clustering();
   const std::vector<Feature>& features = maintenance_->current_features();
   tree_parent_ = BuildClusterTrees(clustering, topology_.adjacency);

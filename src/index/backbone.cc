@@ -122,6 +122,25 @@ Backbone Backbone::Build(const Clustering& clustering,
     ELINK_CHECK(queue.size() == bb.leaders_.size());
   }
 
+  // Bottom-up order: depths top-down from the root (a parent's depth is set
+  // before its children are reached), then deepest first, ties by id.
+  {
+    std::vector<int> depth(n, 0);
+    std::vector<int> queue{bb.tree_root_};
+    for (size_t head = 0; head < queue.size(); ++head) {
+      for (int child : bb.tree_children_[queue[head]]) {
+        depth[child] = depth[queue[head]] + 1;
+        queue.push_back(child);
+      }
+    }
+    bb.leaders_bottom_up_ = bb.leaders_;
+    std::sort(bb.leaders_bottom_up_.begin(), bb.leaders_bottom_up_.end(),
+              [&](int a, int b) {
+                if (depth[a] != depth[b]) return depth[a] > depth[b];
+                return a < b;
+              });
+  }
+
   // Hops of every tree edge: a BFS from the leader that stops once it
   // discovers its parent, over scratch reused across leaders (seen[v] ==
   // epoch marks v visited by the current search).

@@ -47,6 +47,13 @@ class Backbone {
   /// All cluster leaders, ascending.
   const std::vector<int>& leaders() const { return leaders_; }
 
+  /// All cluster leaders, children before parents: by decreasing depth in
+  /// the backbone tree, ties by ascending id.  The order in which the query
+  /// engines and protocols aggregate upper-level summaries bottom-up.
+  const std::vector<int>& leaders_bottom_up() const {
+    return leaders_bottom_up_;
+  }
+
   /// Parent of a leader in the backbone tree (the tree root's parent is
   /// itself).  Only valid for leader ids.
   int tree_parent(int leader) const {
@@ -94,6 +101,7 @@ class Backbone {
   }
 
   std::vector<int> leaders_;
+  std::vector<int> leaders_bottom_up_;
   // Indexed by node id; tree_parent_ is -1 for nodes that lead no cluster.
   std::vector<int> tree_parent_;
   std::vector<std::vector<int>> tree_children_;

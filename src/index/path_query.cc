@@ -23,21 +23,7 @@ PathQueryEngine::PathQueryEngine(const Clustering& clustering,
                                     : static_cast<int>(features[0].size())) {
   // Upper-level covering radii over backbone subtrees (see
   // RangeQueryEngine's constructor for the same aggregation).
-  std::vector<int> order = backbone_.leaders();
-  auto depth = [&](int leader) {
-    int d = 0;
-    for (int cur = leader; backbone_.tree_parent(cur) != cur;
-         cur = backbone_.tree_parent(cur)) {
-      ++d;
-    }
-    return d;
-  };
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const int da = depth(a), db = depth(b);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  for (int leader : order) {
+  for (int leader : backbone_.leaders_bottom_up()) {
     double radius = index_.root_ball_radius(leader);
     std::vector<int> members = index_.subtree(leader);
     for (int child : backbone_.tree_children(leader)) {

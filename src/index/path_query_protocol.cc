@@ -12,12 +12,8 @@
 
 namespace elink {
 
-namespace {
-
-namespace w = path_wire;
-
-/// Read-only per-node deployment state (driver-owned, outlives the run).
-struct PathNodeState {
+/// Read-only per-node deployment state, built once per protocol object.
+struct DistributedPathQuery::NodeState {
   int cluster_root = -1;
   int tree_parent = -1;
   const std::vector<int>* mtree_children = nullptr;
@@ -38,6 +34,11 @@ struct PathNodeState {
   };
   std::vector<BackboneChild> backbone_children;
 };
+
+namespace {
+
+namespace w = path_wire;
+using PathNodeState = DistributedPathQuery::NodeState;
 
 /// Query-global blackboard the nodes report their classifications into.
 struct PathContext {
@@ -227,41 +228,59 @@ DistributedPathQuery::DistributedPathQuery(
     std::shared_ptr<const DistanceMetric> metric, PathProtocolOptions options)
     : topology_(topology),
       clustering_(clustering),
-      index_(index),
       backbone_(backbone),
-      features_(features),
       metric_(std::move(metric)),
-      options_(options) {
+      options_(options),
+      backbone_members_(topology.num_nodes()),
+      states_(topology.num_nodes()),
+      route_memo_(topology.num_nodes()) {
   // Upper-level covering radii over backbone subtrees, children before
   // parents (identical aggregation to PathQueryEngine's constructor).
-  std::vector<int> order = backbone_.leaders();
-  auto depth = [&](int leader) {
-    int d = 0;
-    for (int cur = leader; backbone_.tree_parent(cur) != cur;
-         cur = backbone_.tree_parent(cur)) {
-      ++d;
-    }
-    return d;
-  };
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const int da = depth(a), db = depth(b);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  for (int leader : order) {
-    double radius = index_.root_ball_radius(leader);
-    std::vector<int> members = index_.subtree(leader);
-    for (int child : backbone_.tree_children(leader)) {
+  const int n = topology.num_nodes();
+  std::vector<double> backbone_radius(n, 0.0);
+  for (int leader : backbone.leaders_bottom_up()) {
+    double radius = index.root_ball_radius(leader);
+    std::vector<int> members = index.subtree(leader);
+    for (int child : backbone.tree_children(leader)) {
       radius = std::max(
-          radius, metric_->Distance(features_[leader], features_[child]) +
-                      backbone_radius_.at(child));
-      const auto& sub = backbone_members_.at(child);
+          radius, metric_->Distance(features[leader], features[child]) +
+                      backbone_radius[child]);
+      const std::vector<int>& sub = backbone_members_[child];
       members.insert(members.end(), sub.begin(), sub.end());
     }
-    backbone_radius_[leader] = radius;
+    backbone_radius[leader] = radius;
     backbone_members_[leader] = std::move(members);
   }
+
+  // Deployment: hand every node its slice of the cluster/index/backbone
+  // state, as the build protocols would have left it in the field.
+  for (int i = 0; i < n; ++i) {
+    NodeState& s = states_[i];
+    s.cluster_root = clustering.root_of[i];
+    s.tree_parent = index.parent(i);
+    s.mtree_children = &index.children(i);
+    s.routing_feature = &index.routing_feature(i);
+    s.covering_radius = index.covering_radius(i);
+    s.subtree = &index.subtree(i);
+  }
+  for (int leader : backbone.leaders()) {
+    NodeState& s = states_[leader];
+    s.is_leader = true;
+    s.is_backbone_root = backbone.tree_parent(leader) == leader;
+    s.backbone_parent = backbone.tree_parent(leader);
+    s.root_ball = index.root_ball_radius(leader);
+    for (int child : backbone.tree_children(leader)) {
+      NodeState::BackboneChild c;
+      c.id = child;
+      c.feature = &features[child];
+      c.subtree_radius = backbone_radius[child];
+      c.members = &backbone_members_[child];
+      s.backbone_children.push_back(c);
+    }
+  }
 }
+
+DistributedPathQuery::~DistributedPathQuery() = default;
 
 Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
                                                   const Feature& danger,
@@ -271,34 +290,6 @@ Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
     return Status::InvalidArgument(
         StringPrintf("path query endpoints (%d, %d) out of range [0, %d)",
                      source, destination, n));
-  }
-
-  // Deployment: hand every node its slice of the cluster/index/backbone
-  // state, as the build protocols would have left it in the field.
-  std::vector<PathNodeState> states(n);
-  for (int i = 0; i < n; ++i) {
-    PathNodeState& s = states[i];
-    s.cluster_root = clustering_.root_of[i];
-    s.tree_parent = index_.parent(i);
-    s.mtree_children = &index_.children(i);
-    s.routing_feature = &index_.routing_feature(i);
-    s.covering_radius = index_.covering_radius(i);
-    s.subtree = &index_.subtree(i);
-  }
-  for (int leader : backbone_.leaders()) {
-    PathNodeState& s = states[leader];
-    s.is_leader = true;
-    s.is_backbone_root = backbone_.tree_parent(leader) == leader;
-    s.backbone_parent = backbone_.tree_parent(leader);
-    s.root_ball = index_.root_ball_radius(leader);
-    for (int child : backbone_.tree_children(leader)) {
-      PathNodeState::BackboneChild c;
-      c.id = child;
-      c.feature = &features_[child];
-      c.subtree_radius = backbone_radius_.at(child);
-      c.members = &backbone_members_.at(child);
-      s.backbone_children.push_back(c);
-    }
   }
 
   PathContext ctx;
@@ -312,10 +303,11 @@ Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
   hopt.net.seed = options_.seed;
   hopt.net.fault = options_.fault;
   hopt.net.churn = options_.churn;
+  hopt.net.route_memo = &route_memo_;
   proto::RunHarness harness(topology_, hopt);
   harness.set_observer(options_.observer);
   harness.InstallNodes(
-      [&](int i) { return std::make_unique<PathNode>(&states[i], &ctx); });
+      [&](int i) { return std::make_unique<PathNode>(&states_[i], &ctx); });
 
   static_cast<PathNode*>(harness.net().node(source))->Inject();
   const proto::RunHarness::Report report = harness.Run();

@@ -14,7 +14,6 @@
 #ifndef ELINK_INDEX_PATH_QUERY_PROTOCOL_H_
 #define ELINK_INDEX_PATH_QUERY_PROTOCOL_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -26,6 +25,7 @@
 #include "metric/distance.h"
 #include "sim/churn.h"
 #include "sim/fault.h"
+#include "sim/network.h"
 #include "sim/observer.h"
 #include "sim/topology.h"
 
@@ -54,6 +54,11 @@ class DistributedPathQuery {
                        std::shared_ptr<const DistanceMetric> metric,
                        PathProtocolOptions options = {});
 
+  // Leader states point into this object's backbone_members_, which a copy
+  // would share with the original.
+  DistributedPathQuery(const DistributedPathQuery&) = delete;
+  DistributedPathQuery& operator=(const DistributedPathQuery&) = delete;
+
   /// Finds a safe path from `source` to `destination` avoiding `danger` by
   /// at least `gamma`.  Outcome semantics match PathQueryEngine::Query; the
   /// returned stats additionally carry the protocol's completion acks under
@@ -61,18 +66,28 @@ class DistributedPathQuery {
   Result<PathQueryResult> Run(int source, int destination,
                               const Feature& danger, double gamma);
 
+  ~DistributedPathQuery();
+
+  /// Routes every Run has memoized so far over the shared topology.
+  const RouteMemo& route_memo() const { return route_memo_; }
+
+  /// One node's slice of the deployment (defined in path_query_protocol.cc).
+  struct NodeState;
+
  private:
   const Topology& topology_;
   const Clustering& clustering_;
-  const ClusterIndex& index_;
   const Backbone& backbone_;
-  const std::vector<Feature>& features_;
   std::shared_ptr<const DistanceMetric> metric_;
   PathProtocolOptions options_;
-  /// Upper-level covering radius per leader over its backbone subtree.
-  std::map<int, double> backbone_radius_;
-  /// All member nodes of each leader's backbone subtree.
-  std::map<int, std::vector<int>> backbone_members_;
+  /// All member nodes of each leader's backbone subtree, indexed by leader
+  /// id (empty for other nodes).
+  std::vector<std::vector<int>> backbone_members_;
+  /// Built once at construction; every Run installs nodes that point into
+  /// it.  Leader entries point into backbone_members_.
+  std::vector<NodeState> states_;
+  /// Lent to every Run's Network (see DistributedRangeQuery).
+  RouteMemo route_memo_;
 };
 
 }  // namespace elink

@@ -34,15 +34,18 @@ double DecodeBudget(long long b) {
   return static_cast<double>(b) / kBudgetScale;
 }
 
+}  // namespace
+
 /// Immutable per-node protocol state (what Section 7 says each node holds).
-struct NodeState {
-  // Cluster membership / tree.
+struct DistributedRangeQuery::NodeState {
+  // The node's own reading, cluster membership and tree.
+  const Feature* feature = nullptr;
   int cluster_root = -1;
   int tree_parent = -1;
   // M-tree summaries of the node's cluster-tree children.
   struct ChildInfo {
     int id;
-    Feature routing_feature;
+    const Feature* routing_feature;
     double covering_radius;
     long long population;
   };
@@ -55,12 +58,16 @@ struct NodeState {
   long long population = 0;    // Own cluster size (leaders only).
   struct BackboneChildInfo {
     int id;
-    Feature feature;
+    const Feature* feature;
     double subtree_radius;
     long long subtree_population;
   };
   std::vector<BackboneChildInfo> backbone_children;
 };
+
+namespace {
+
+using NodeState = DistributedRangeQuery::NodeState;
 
 /// Shared run context.
 struct QueryContext {
@@ -167,8 +174,6 @@ class QueryNode : public proto::ProtocolNode {
     }
   }
 
-  void set_feature(Feature f) { feature_ = std::move(f); }
-
  protected:
   void OnProtocolTimer(int timer_id) override {
     ELINK_CHECK(timer_id == kDeadlineTimer);
@@ -255,7 +260,7 @@ class QueryNode : public proto::ProtocolNode {
     ArmDeadline(budget);
 
     // Own cluster screen (Section 7.2) with the exact root-ball radius.
-    const double d_root = Dist(ctx_->q, feature_);
+    const double d_root = Dist(ctx_->q, *state_->feature);
     if (d_root > ctx_->r + state_->root_ball + 1e-12) {
       // Excluded: contributes nothing.
     } else if (d_root <= ctx_->r - state_->root_ball + 1e-12) {
@@ -267,7 +272,7 @@ class QueryNode : public proto::ProtocolNode {
 
     // Backbone children via the cached upper-level summaries.
     for (const auto& child : state_->backbone_children) {
-      const double d_child = Dist(ctx_->q, child.feature);
+      const double d_child = Dist(ctx_->q, *child.feature);
       if (d_child > ctx_->r + child.subtree_radius + 1e-12) {
         continue;  // Whole subtree excluded, no transmission.
       }
@@ -293,10 +298,10 @@ class QueryNode : public proto::ProtocolNode {
   /// Self-test plus M-tree child decisions (both for leaders starting a
   /// descent and for interior nodes receiving a descend).
   void DescendBody() {
-    if (Dist(ctx_->q, feature_) <= ctx_->r + 1e-12) ++count_;
+    if (Dist(ctx_->q, *state_->feature) <= ctx_->r + 1e-12) ++count_;
     for (const auto& child : state_->mtree_children) {
-      const double d_link = Dist(feature_, child.routing_feature);
-      const double d_self = Dist(ctx_->q, feature_);
+      const double d_link = Dist(*state_->feature, *child.routing_feature);
+      const double d_self = Dist(ctx_->q, *state_->feature);
       if (std::fabs(d_self - d_link) >
           ctx_->r + child.covering_radius + 1e-12) {
         continue;  // Subtree excluded via the parent-side bound.
@@ -370,7 +375,6 @@ class QueryNode : public proto::ProtocolNode {
 
   const NodeState* state_;
   QueryContext* ctx_;
-  Feature feature_;
 
   bool active_ = false;
   long long count_ = 0;
@@ -403,40 +407,54 @@ DistributedRangeQuery::DistributedRangeQuery(
     const std::vector<Feature>& features,
     std::shared_ptr<const DistanceMetric> metric, ProtocolOptions options)
     : topology_(topology),
-      clustering_(clustering),
-      index_(index),
-      backbone_(backbone),
-      features_(features),
       metric_(std::move(metric)),
-      options_(std::move(options)) {
-  // Upper-level summaries, children before parents.
-  std::vector<int> order = backbone_.leaders();
-  auto depth = [&](int leader) {
-    int d = 0;
-    for (int cur = leader; backbone_.tree_parent(cur) != cur;
-         cur = backbone_.tree_parent(cur)) {
-      ++d;
-    }
-    return d;
-  };
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const int da = depth(a), db = depth(b);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  for (int leader : order) {
-    double radius = index_.root_ball_radius(leader);
-    long long pop = static_cast<long long>(index_.subtree(leader).size());
-    for (int child : backbone_.tree_children(leader)) {
+      options_(std::move(options)),
+      states_(topology.num_nodes()),
+      route_memo_(topology.num_nodes()) {
+  // Upper-level summaries, children before parents (leaders would learn
+  // these during backbone construction).
+  const int n = topology.num_nodes();
+  std::vector<double> backbone_radius(n, 0.0);
+  std::vector<long long> backbone_population(n, 0);
+  for (int leader : backbone.leaders_bottom_up()) {
+    double radius = index.root_ball_radius(leader);
+    long long pop = static_cast<long long>(index.subtree(leader).size());
+    for (int child : backbone.tree_children(leader)) {
       radius = std::max(
-          radius, metric_->Distance(features_[leader], features_[child]) +
-                      backbone_radius_.at(child));
-      pop += backbone_population_.at(child);
+          radius, metric_->Distance(features[leader], features[child]) +
+                      backbone_radius[child]);
+      pop += backbone_population[child];
     }
-    backbone_radius_[leader] = radius;
-    backbone_population_[leader] = pop;
+    backbone_radius[leader] = radius;
+    backbone_population[leader] = pop;
+  }
+
+  for (int i = 0; i < n; ++i) {
+    NodeState& s = states_[i];
+    s.feature = &features[i];
+    s.cluster_root = clustering.root_of[i];
+    s.tree_parent = index.parent(i);
+    for (int child : index.children(i)) {
+      s.mtree_children.push_back(
+          {child, &index.routing_feature(child), index.covering_radius(child),
+           static_cast<long long>(index.subtree(child).size())});
+    }
+    if (s.cluster_root == i) {
+      s.is_leader = true;
+      s.is_backbone_root = backbone.tree_root() == i;
+      s.backbone_parent = backbone.tree_parent(i);
+      s.root_ball = index.root_ball_radius(i);
+      s.population = static_cast<long long>(index.subtree(i).size());
+      for (int child : backbone.tree_children(i)) {
+        s.backbone_children.push_back({child, &features[child],
+                                       backbone_radius[child],
+                                       backbone_population[child]});
+      }
+    }
   }
 }
+
+DistributedRangeQuery::~DistributedRangeQuery() = default;
 
 Result<DistributedQueryOutcome> DistributedRangeQuery::Run(int initiator,
                                                            const Feature& q,
@@ -446,39 +464,13 @@ Result<DistributedQueryOutcome> DistributedRangeQuery::Run(int initiator,
   }
   if (r < 0) return Status::InvalidArgument("radius must be non-negative");
 
-  // Per-node protocol state.
-  const int n = topology_.num_nodes();
-  std::vector<NodeState> states(n);
-  for (int i = 0; i < n; ++i) {
-    NodeState& s = states[i];
-    s.cluster_root = clustering_.root_of[i];
-    s.tree_parent = index_.parent(i);
-    for (int child : index_.children(i)) {
-      s.mtree_children.push_back(
-          {child, index_.routing_feature(child), index_.covering_radius(child),
-           static_cast<long long>(index_.subtree(child).size())});
-    }
-    if (s.cluster_root == i) {
-      s.is_leader = true;
-      s.is_backbone_root = backbone_.tree_root() == i;
-      s.backbone_parent = backbone_.tree_parent(i);
-      s.root_ball = index_.root_ball_radius(i);
-      s.population = static_cast<long long>(index_.subtree(i).size());
-      for (int child : backbone_.tree_children(i)) {
-        s.backbone_children.push_back({child, features_[child],
-                                       backbone_radius_.at(child),
-                                       backbone_population_.at(child)});
-      }
-    }
-  }
-
   QueryContext ctx;
   ctx.q = q;
   ctx.r = r;
   ctx.query_units = static_cast<int>(q.size()) + 1;
   ctx.metric = metric_.get();
   ctx.initiator = initiator;
-  ctx.initiator_root = clustering_.root_of[initiator];
+  ctx.initiator_root = states_[initiator].cluster_root;
   ctx.node_deadline = options_.node_deadline;
   ctx.reliable = options_.reliable_transport;
   ctx.reliable_cfg = options_.reliable;
@@ -488,16 +480,14 @@ Result<DistributedQueryOutcome> DistributedRangeQuery::Run(int initiator,
   hopt.net.seed = options_.seed;
   hopt.net.fault = options_.fault;
   hopt.net.churn = options_.churn;
+  hopt.net.route_memo = &route_memo_;
   // Keeps the clock honest when the query dies en route: the initiator
   // gives up at this time, which is what the reported latency shows.
   hopt.run_horizon = options_.query_deadline;
   proto::RunHarness harness(topology_, hopt);
   harness.set_observer(options_.observer);
-  harness.InstallNodes([&](int id) {
-    auto node = std::make_unique<QueryNode>(&states[id], &ctx);
-    node->set_feature(features_[id]);
-    return node;
-  });
+  harness.InstallNodes(
+      [&](int id) { return std::make_unique<QueryNode>(&states_[id], &ctx); });
   static_cast<QueryNode*>(harness.net().node(initiator))->Inject();
   const proto::RunHarness::Report report = harness.Run();
 

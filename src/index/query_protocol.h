@@ -16,7 +16,6 @@
 #ifndef ELINK_INDEX_QUERY_PROTOCOL_H_
 #define ELINK_INDEX_QUERY_PROTOCOL_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -93,7 +92,9 @@ class DistributedRangeQuery {
   };
 
   /// `clustering`, `index`, and `backbone` describe the clustered network;
-  /// their per-node slices are copied into the protocol nodes.
+  /// each node's protocol state is built from its slice of them once, here.
+  /// `topology`, `index` and `features` must outlive the object: the node
+  /// states point into the latter two.
   DistributedRangeQuery(const Topology& topology,
                         const Clustering& clustering,
                         const ClusterIndex& index, const Backbone& backbone,
@@ -116,19 +117,24 @@ class DistributedRangeQuery {
   Result<DistributedQueryOutcome> Run(int initiator, const Feature& q,
                                       double r);
 
+  ~DistributedRangeQuery();
+
+  /// Routes every Run has memoized so far over the shared topology.
+  const RouteMemo& route_memo() const { return route_memo_; }
+
+  /// One node's slice of the index state (defined in query_protocol.cc).
+  struct NodeState;
+
  private:
   const Topology& topology_;
-  const Clustering& clustering_;
-  const ClusterIndex& index_;
-  const Backbone& backbone_;
-  const std::vector<Feature>& features_;
   std::shared_ptr<const DistanceMetric> metric_;
   ProtocolOptions options_;
-
-  // Upper-level summaries, precomputed once (leaders would learn these
-  // during backbone construction).
-  std::map<int, double> backbone_radius_;
-  std::map<int, long long> backbone_population_;
+  // What Section 7 says each node holds, built once at construction; every
+  // Run installs nodes that point into it.
+  std::vector<NodeState> states_;
+  // Lent to every Run's Network: backbone links are fixed for the object's
+  // lifetime, so a route found by one query serves all later ones.
+  RouteMemo route_memo_;
 };
 
 }  // namespace elink

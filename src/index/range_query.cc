@@ -23,22 +23,7 @@ RangeQueryEngine::RangeQueryEngine(const Clustering& clustering,
   // cluster plus all clusters below it in the backbone tree — aggregated
   // bottom-up exactly like the in-cluster M-tree radii.  Query dissemination
   // then prunes whole backbone subtrees without visiting them.
-  std::vector<int> order = backbone_.leaders();
-  // Children before parents: sort by decreasing depth in the backbone tree.
-  auto depth = [&](int leader) {
-    int d = 0;
-    for (int cur = leader; backbone_.tree_parent(cur) != cur;
-         cur = backbone_.tree_parent(cur)) {
-      ++d;
-    }
-    return d;
-  };
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const int da = depth(a), db = depth(b);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  for (int leader : order) {
+  for (int leader : backbone_.leaders_bottom_up()) {
     double radius = index_.root_ball_radius(leader);
     std::vector<int> members = index_.subtree(leader);
     for (int child : backbone_.tree_children(leader)) {

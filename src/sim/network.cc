@@ -1,6 +1,7 @@
 #include "sim/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/logging.h"
@@ -44,13 +45,19 @@ Network::Network(Topology topology, Config config)
       churn_(config_.churn, topology_.num_nodes()),
       restart_gen_(topology_.num_nodes(), 0),
       nodes_(topology_.num_nodes()),
+      own_memo_(topology_.num_nodes()),
       route_next_(topology_.num_nodes(), -1),
       route_seen_(topology_.num_nodes(), 0) {
   ELINK_CHECK(config_.async_delay_min > 0.0);
   ELINK_CHECK(config_.async_delay_max >= config_.async_delay_min);
   queue_.SetInlineHandlers(&Network::OnDeliveryEvent, &Network::OnTimerEvent,
                            this);
-  if (churn_.enabled()) {
+  if (config_.route_memo != nullptr) {
+    ELINK_CHECK(config_.route_memo->num_nodes() == num_nodes());
+  }
+  if (!churn_.enabled()) {
+    memo_ = config_.route_memo != nullptr ? config_.route_memo : &own_memo_;
+  } else {
     live_adjacency_ = topology_.adjacency;
     // The whole plan is scheduled up front; event callbacks draw no
     // randomness, so enabling churn perturbs no RNG stream.
@@ -420,7 +427,54 @@ void Network::Broadcast(int from, Message msg) {
   }
 }
 
+const RouteMemo::Hop* RouteMemo::Find(int relay, int to) const {
+  if (slots_.empty()) return nullptr;
+  const uint64_t key = Key(relay, to);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(key);; i = (i + 1) & mask) {
+    if (slots_[i].key == key) return &slots_[i].hop;
+    if (slots_[i].key == kEmpty) return nullptr;
+  }
+}
+
+void RouteMemo::Insert(int relay, int to, Hop hop) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    // Double (from 64 slots) and rehash, keeping the table at most half
+    // full so probe runs stay short.
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 64 : 2 * old.size(), Slot{kEmpty, {}});
+    shift_ = 64 - std::countr_zero(slots_.size());
+    size_ = 0;
+    for (const Slot& s : old) {
+      if (s.key != kEmpty) {
+        Insert(static_cast<int>(s.key & 0xffffffffu),
+               static_cast<int>(s.key >> 32), s.hop);
+      }
+    }
+  }
+  const uint64_t key = Key(relay, to);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(key);; i = (i + 1) & mask) {
+    if (slots_[i].key == key) return;
+    if (slots_[i].key == kEmpty) {
+      slots_[i] = {key, hop};
+      ++size_;
+      return;
+    }
+  }
+}
+
 int Network::Route(int from, int to) {
+  if (memo_ != nullptr) {
+    if (const RouteMemo::Hop* hit = memo_->Find(from, to)) {
+      // The memo is closed under next hop, so every relay of the chain has
+      // its own entry.
+      for (int cur = from; cur != to; cur = route_next_[cur]) {
+        route_next_[cur] = memo_->Find(cur, to)->next;
+      }
+      return hit->hops;
+    }
+  }
   // Under churn, absent nodes neither relay nor end a route: an absent relay
   // sinks every frame that crosses it.  Absence changes only at churn
   // events, which run first at their timestamp.
@@ -444,6 +498,12 @@ int Network::Route(int from, int to) {
       if (v == from) {
         int hops = 0;
         for (int cur = from; cur != to; cur = route_next_[cur]) ++hops;
+        if (memo_ != nullptr) {
+          int left = hops;
+          for (int cur = from; cur != to; cur = route_next_[cur]) {
+            memo_->Insert(cur, to, {route_next_[cur], left--});
+          }
+        }
         return hops;
       }
       route_queue_.push_back(v);

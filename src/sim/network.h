@@ -28,6 +28,56 @@ namespace elink {
 
 class Network;
 
+/// \brief Next-hop memo of routed sends over one static adjacency.
+///
+/// The entry for (relay, destination) holds the relay's parent in
+/// BfsTreeParents(adjacency, destination) and the relay's hop count to the
+/// destination.  Network::Route stores every node of each chain its BFS
+/// walks, so one destination's entries are closed under next hop and a hit
+/// replays the whole chain without a search.  Entries depend on nothing but
+/// the adjacency: every Network over the same topology may share one memo,
+/// and a memo must never be shared across topologies.  Empty until the
+/// first routed send, so Networks that never route pay nothing for it.
+class RouteMemo {
+ public:
+  explicit RouteMemo(int num_nodes) : num_nodes_(num_nodes) {}
+
+  int num_nodes() const { return num_nodes_; }
+  /// Stored (relay, destination) entries.
+  size_t size() const { return size_; }
+
+ private:
+  friend class Network;
+  struct Hop {
+    int next;
+    int hops;
+  };
+  struct Slot {
+    uint64_t key;
+    Hop hop;
+  };
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+
+  static uint64_t Key(int relay, int to) {
+    return static_cast<uint64_t>(to) << 32 | static_cast<uint32_t>(relay);
+  }
+  size_t Home(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  /// The entry for (relay, to), or nullptr.
+  const Hop* Find(int relay, int to) const;
+  /// Stores (relay, to) -> hop; an existing entry is left as it is (it holds
+  /// the same hop: both came from the one BFS tree of `to`).
+  void Insert(int relay, int to, Hop hop);
+
+  int num_nodes_;
+  size_t size_ = 0;
+  // Open addressing with linear probing over a power-of-two table, kept at
+  // most half full; `shift_` maps a hashed key to its home slot.
+  std::vector<Slot> slots_;
+  int shift_ = 64;
+};
+
 /// \brief Base class for protocol logic running on one sensor node.
 ///
 /// Subclasses implement HandleMessage / HandleTimer; they send messages and
@@ -108,6 +158,13 @@ class Network {
     /// (time, seq) order, same bytes in every report — and the knob exists
     /// so tests can prove exactly that.
     bool arena_messages = Network::default_arena_messages();
+    /// Route memo to read and fill instead of the Network's own, for callers
+    /// that build many Networks over one topology (a query protocol lends
+    /// its memo to every run's Network).  Borrowed: it must outlive the
+    /// Network, cover the same node count, and have been filled over the
+    /// same adjacency only.  Null (the default) uses a memo the Network
+    /// owns.  Ignored while churn is enabled: no memo is read or written.
+    RouteMemo* route_memo = nullptr;
   };
 
   /// Process-wide default for Config::arena_messages.  Protocols construct
@@ -157,10 +214,12 @@ class Network {
   /// Sends `msg` from `from` to an arbitrary node `to` along a shortest hop
   /// path of the live graph at send time (under churn: current links,
   /// present relays); intermediate nodes relay without processing.  Each
-  /// hop is charged like a Send.  Used for quadtree parent/child signalling
-  /// and query routing, whose endpoints need not be radio neighbors.
-  /// Returns the number of hops traveled (0 for from == to, in which case
-  /// the message is delivered locally after zero delay).
+  /// hop is charged like a Send.  The path is the chain from `from` up
+  /// BfsTreeParents(graph, to), memoized without churn (see RouteMemo).
+  /// Used for quadtree parent/child signalling and query routing, whose
+  /// endpoints need not be radio neighbors.  Returns the number of hops
+  /// traveled (0 for from == to, in which case the message is delivered
+  /// locally after zero delay).
   int SendRouted(int from, int to, Message msg);
 
   /// Hop distance between two nodes over the same live graph SendRouted
@@ -222,6 +281,9 @@ class Network {
   Rng& rng() { return rng_; }
   const FaultInjector& fault() const { return fault_; }
   const ChurnSchedule& churn() const { return churn_; }
+  /// The route memo this Network reads and fills: the lent one, else its
+  /// own.  Null while churn is enabled.
+  const RouteMemo* route_memo() const { return memo_; }
 
   /// True when `id` is deployed right now under the churn plan (joined, not
   /// left, not in a churn crash window).  Fault-plan crashes do NOT count:
@@ -257,7 +319,8 @@ class Network {
   double NextHopDelay();
   /// Hop count of the shortest live path from `from` to `to` (from != to;
   /// -1 when there is none), with each path node's next hop towards `to`
-  /// left in route_next_.  A BFS from `to` that stops at `from`.
+  /// left in route_next_.  A memo hit replays the stored chain; a miss runs
+  /// a BFS from `to` that stops at `from` and memoizes the chain it found.
   int Route(int from, int to);
   /// True when (from, to) is an edge of the *current* (churn-edited)
   /// adjacency.  Only meaningful while churn is enabled.
@@ -331,9 +394,13 @@ class Network {
   MessageStats stats_;
   SimObserver* observer_ = nullptr;
   bool hit_event_cap_ = false;
-  // Route() scratch reused by every call (nothing survives a call, so churn
-  // has nothing to invalidate); route_seen_[v] == route_epoch_ marks v
-  // discovered by the current BFS.
+  // Next-hop memo of Route(): `memo_` is the lent Config::route_memo, else
+  // `own_memo_`, and null under churn, where routes follow the live graph
+  // and a stored chain could cross a removed link or an absent relay.
+  RouteMemo own_memo_;
+  RouteMemo* memo_ = nullptr;
+  // Route() scratch reused by every call; route_seen_[v] == route_epoch_
+  // marks v discovered by the current BFS.
   std::vector<int> route_next_;
   std::vector<uint64_t> route_seen_;
   uint64_t route_epoch_ = 0;

@@ -199,6 +199,50 @@ TEST(PathProtocolTest, TruncatedMessagesAreCountedNotFatal) {
   EXPECT_GT(decode_errors, 0u);
 }
 
+TEST(PathProtocolTest, WarmRouteMemoLeavesOutcomesUnchanged) {
+  // One object answers every query cold, then warm (its routes memoized);
+  // both outcomes must equal a fresh object's, message for message.
+  PathFixture fx = PathFixture::Make(Terrain(), 0.22);
+  PathProtocolOptions options;
+  options.synchronous = false;
+  options.seed = 99;
+  DistributedPathQuery shared = fx.MakeProtocol(options);
+  const int n = fx.ds.topology.num_nodes();
+  Rng rng(17);
+  for (int trial = 0; trial < 8; ++trial) {
+    const Feature danger = fx.ds.features[rng.UniformInt(n)];
+    const double gamma = rng.Uniform(0.2, 1.0) * fx.delta;
+    const int source = static_cast<int>(rng.UniformInt(n));
+    const int destination = static_cast<int>(rng.UniformInt(n));
+    DistributedPathQuery fresh = fx.MakeProtocol(options);
+    Result<PathQueryResult> want =
+        fresh.Run(source, destination, danger, gamma);
+    ASSERT_TRUE(want.ok());
+    Result<PathQueryResult> cold =
+        shared.Run(source, destination, danger, gamma);
+    ASSERT_TRUE(cold.ok());
+    const size_t entries = shared.route_memo().size();
+    Result<PathQueryResult> warm =
+        shared.Run(source, destination, danger, gamma);
+    ASSERT_TRUE(warm.ok());
+    // The warm run found every route in the memo.
+    EXPECT_EQ(shared.route_memo().size(), entries);
+    for (const PathQueryResult* got : {&cold.value(), &warm.value()}) {
+      ExpectParity(*got, want.value(), trial);
+      EXPECT_EQ(got->stats.units_by_category(),
+                want.value().stats.units_by_category());
+      for (const auto& [category, units] :
+           want.value().stats.units_by_category()) {
+        EXPECT_EQ(got->stats.sends(category),
+                  want.value().stats.sends(category));
+        EXPECT_EQ(got->stats.bytes(category),
+                  want.value().stats.bytes(category));
+      }
+    }
+  }
+  EXPECT_GT(shared.route_memo().size(), 0u);
+}
+
 TEST(PathProtocolTest, RejectsBadEndpoints) {
   PathFixture fx = PathFixture::Make(Terrain(120), 0.25);
   DistributedPathQuery protocol = fx.MakeProtocol();

@@ -184,6 +184,46 @@ TEST(QueryProtocolTest, UncorrelatedDataStillExact) {
   }
 }
 
+/// Same transmissions per category: sends, units and bytes on the air.
+void ExpectSameStats(const MessageStats& got, const MessageStats& want) {
+  EXPECT_EQ(got.units_by_category(), want.units_by_category());
+  for (const auto& [category, units] : want.units_by_category()) {
+    EXPECT_EQ(got.sends(category), want.sends(category)) << category;
+    EXPECT_EQ(got.bytes(category), want.bytes(category)) << category;
+  }
+}
+
+TEST(QueryProtocolTest, WarmRouteMemoLeavesOutcomesUnchanged) {
+  // One object answers every query cold, then warm (its routes memoized);
+  // both outcomes must equal a fresh object's, delays and all.
+  ProtocolFixture fx = ProtocolFixture::Make(Terrain(), 0.22);
+  DistributedRangeQuery shared =
+      fx.MakeProtocol(/*synchronous=*/false, /*seed=*/99);
+  Rng rng(13);
+  for (int trial = 0; trial < 8; ++trial) {
+    const Feature q = fx.ds.features[rng.UniformInt(180)];
+    const double r = rng.Uniform(0.2, 1.0) * fx.delta;
+    const int initiator = static_cast<int>(rng.UniformInt(180));
+    DistributedRangeQuery fresh =
+        fx.MakeProtocol(/*synchronous=*/false, /*seed=*/99);
+    Result<DistributedQueryOutcome> want = fresh.Run(initiator, q, r);
+    ASSERT_TRUE(want.ok());
+    Result<DistributedQueryOutcome> cold = shared.Run(initiator, q, r);
+    ASSERT_TRUE(cold.ok());
+    const size_t entries = shared.route_memo().size();
+    Result<DistributedQueryOutcome> warm = shared.Run(initiator, q, r);
+    ASSERT_TRUE(warm.ok());
+    // The warm run found every route in the memo.
+    EXPECT_EQ(shared.route_memo().size(), entries);
+    for (const DistributedQueryOutcome* got : {&cold.value(), &warm.value()}) {
+      EXPECT_EQ(got->match_count, want.value().match_count) << trial;
+      EXPECT_EQ(got->latency, want.value().latency) << trial;
+      ExpectSameStats(got->stats, want.value().stats);
+    }
+  }
+  EXPECT_GT(shared.route_memo().size(), 0u);
+}
+
 TEST(QueryProtocolTest, RejectsBadArguments) {
   ProtocolFixture fx = ProtocolFixture::Make(Terrain(120), 0.25);
   DistributedRangeQuery protocol = fx.MakeProtocol();

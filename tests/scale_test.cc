@@ -4,7 +4,8 @@
 // fine clusterings.  Both must stay O(N) in memory: an O(N^2) structure
 // (one N-entry table per destination or per leader is 100-800 MB at
 // N=10^4) fails a peak RSS bound below instead of only showing up as
-// slower timings.
+// slower timings.  The route memo is held to a constant number of entries
+// per node for the same reason.
 //
 // ru_maxrss is a per-process high-water mark.  ctest runs every test in its
 // own process; in a whole-binary run the smaller bound comes first.
@@ -96,6 +97,10 @@ TEST(ScaleTest, AsyncExplicitElinkOnGrid10kStaysUnder256Mb) {
       r.value().clustering, t.adjacency, features, metric, cfg.delta);
   EXPECT_TRUE(valid.ok()) << valid.ToString();
   EXPECT_LT(PeakRssMb(), 256.0);
+  // The route memo keeps one entry per (relay, destination) of every chain
+  // routed, not a table per destination: 31,150 entries (3.1·N) here.
+  EXPECT_GT(r.value().route_memo_entries, 0u);
+  EXPECT_LE(r.value().route_memo_entries, 4u * t.num_nodes());
 }
 
 }  // namespace

@@ -461,31 +461,93 @@ Message RoutedMessage() {
 }
 
 TEST(NetworkTest, RoutedHopsFollowBfsTreeOfDestination) {
+  // Every pair is routed twice on a Network with its own memo (a miss, then
+  // a hit), then on a Network lending `memo` and on one borrowing it after
+  // that: each path and hop count stays the destination's BFS-tree chain.
   for (uint64_t seed : {3u, 17u, 29u}) {
     Rng rng(seed);
     Result<Topology> t = MakeRandomTopologyWithDegree(300, 0.8, 4.0, &rng);
     ASSERT_TRUE(t.ok());
     const AdjacencyList adj = t.value().adjacency;
-    Network::Config cfg;
-    cfg.synchronous = false;
-    cfg.seed = seed;
-    Network net(std::move(t).value(), cfg);
-    net.InstallNodes([](int) { return std::make_unique<RecorderNode>(); });
-    HopLog log;
-    net.set_observer(&log);
+    std::vector<std::pair<int, int>> pairs;
     for (int k = 0; k < 200; ++k) {
       const int from = static_cast<int>(rng.UniformInt(300));
-      const int to = static_cast<int>(rng.UniformInt(300));
-      const int expect_hops = HopDistancesFrom(adj, to)[from];
-      EXPECT_EQ(net.HopDistance(from, to), expect_hops);
-      log.hops.clear();
-      EXPECT_EQ(net.SendRouted(from, to, RoutedMessage()), expect_hops);
-      EXPECT_EQ(log.hops, BfsChain(adj, from, to))
-          << "seed " << seed << " " << from << " -> " << to;
+      pairs.push_back({from, static_cast<int>(rng.UniformInt(300))});
     }
-    net.Run();
-    EXPECT_EQ(log.drops, 0);
+    RouteMemo memo(300);
+    auto route_all = [&](RouteMemo* lent) {
+      Network::Config cfg;
+      cfg.synchronous = false;
+      cfg.seed = seed;
+      cfg.route_memo = lent;
+      Network net(t.value(), cfg);
+      net.InstallNodes([](int) { return std::make_unique<RecorderNode>(); });
+      HopLog log;
+      net.set_observer(&log);
+      for (const auto& [from, to] : pairs) {
+        const std::vector<int> dist = HopDistancesFrom(adj, to);
+        const Hops chain = BfsChain(adj, from, to);
+        for (int round = 0; round < 2; ++round) {
+          EXPECT_EQ(net.HopDistance(from, to), dist[from]);
+          log.hops.clear();
+          EXPECT_EQ(net.SendRouted(from, to, RoutedMessage()), dist[from]);
+          EXPECT_EQ(log.hops, chain)
+              << "seed " << seed << " " << from << " -> " << to;
+        }
+        // Every relay of the chain now routes from the memo.
+        for (const auto& [relay, next] : chain) {
+          EXPECT_EQ(net.HopDistance(relay, to), dist[relay]);
+        }
+      }
+      net.Run();
+      EXPECT_EQ(log.drops, 0);
+      if (lent != nullptr) {
+        EXPECT_EQ(net.route_memo(), lent);
+      }
+      return net.route_memo()->size();
+    };
+    const size_t own_entries = route_all(nullptr);
+    EXPECT_GT(own_entries, 0u);
+    EXPECT_EQ(route_all(&memo), own_entries);
+    // Every route of the borrower is a hit: nothing new is stored.
+    EXPECT_EQ(route_all(&memo), own_entries);
   }
+}
+
+TEST(NetworkTest, ChurnBypassesALentRouteMemo) {
+  // The memo learns 0 -> 2 via relay 1 on the static grid.  Under churn the
+  // route must follow the live graph (1 is down over [3, 5)), and the lent
+  // memo is neither read nor written.
+  RouteMemo memo(9);
+  {
+    Network::Config cfg;
+    cfg.route_memo = &memo;
+    Network net(MakeGridTopology(3, 3), cfg);
+    net.InstallNodes([](int) { return std::make_unique<RecorderNode>(); });
+    EXPECT_EQ(net.HopDistance(0, 2), 2);
+  }
+  const size_t entries = memo.size();
+  EXPECT_EQ(entries, 2u);
+
+  Network::Config cfg;
+  cfg.seed = 5;
+  cfg.churn.crashes.push_back({1, 3.0, 5.0});
+  cfg.route_memo = &memo;
+  Network net(MakeGridTopology(3, 3), cfg);
+  net.InstallNodes([](int) { return std::make_unique<RecorderNode>(); });
+  EXPECT_EQ(net.route_memo(), nullptr);
+  HopLog log;
+  net.set_observer(&log);
+  Hops at_crash;
+  net.ScheduleAfter(3.0, [&] {
+    EXPECT_EQ(net.HopDistance(0, 2), 4);
+    log.hops.clear();
+    net.SendRouted(0, 2, RoutedMessage());
+    at_crash = log.hops;
+  });
+  net.Run();
+  EXPECT_EQ(at_crash, (Hops{{0, 3}, {3, 4}, {4, 5}, {5, 2}}));
+  EXPECT_EQ(memo.size(), entries);
 }
 
 /// A 3x3 grid network (ids r * 3 + c) running `churn`, with a hop log.
