@@ -37,28 +37,6 @@ class ElinkNode : public proto::ProtocolNode {
  public:
   explicit ElinkNode(RunContext* ctx) : ctx_(ctx) {
     if (ctx_->reliable) EnableReliable(ctx_->config.reliable);
-    OnMsg<w::Expand>(
-        [this](int from, const w::Expand& m) { OnExpand(from, m); });
-    OnMsg<w::Ack1>([this](int, const w::Ack1&) {
-      --pending_;
-      ++children_;
-      CheckExpansionComplete();
-    });
-    OnMsg<w::Nack>([this](int, const w::Nack&) {
-      --pending_;
-      CheckExpansionComplete();
-    });
-    OnMsg<w::Ack2>([this](int, const w::Ack2&) {
-      --children_;
-      CheckExpansionComplete();
-    });
-    OnMsg<w::Phase1>([this](int, const w::Phase1& m) {
-      OnPhase1(static_cast<int>(m.round));
-    });
-    OnMsg<w::Phase2>([this](int, const w::Phase2& m) {
-      OnPhase2(static_cast<int>(m.round));
-    });
-    OnMsg<w::Start>([this](int, const w::Start&) { Activate(); });
   }
 
   // -- Clustering state, read out by the driver after the run. ------------
@@ -66,6 +44,27 @@ class ElinkNode : public proto::ProtocolNode {
   int root() const { return root_; }
 
  protected:
+  bool Dispatch(int from, const Message& msg) override {
+    switch (msg.type) {
+      case w::Expand::kType:
+        return Deliver(from, msg, &ElinkNode::OnExpand);
+      case w::Ack1::kType:
+        return Deliver(from, msg, &ElinkNode::OnAck1);
+      case w::Nack::kType:
+        return Deliver(from, msg, &ElinkNode::OnNack);
+      case w::Ack2::kType:
+        return Deliver(from, msg, &ElinkNode::OnAck2);
+      case w::Phase1::kType:
+        return Deliver(from, msg, &ElinkNode::OnPhase1);
+      case w::Phase2::kType:
+        return Deliver(from, msg, &ElinkNode::OnPhase2);
+      case w::Start::kType:
+        return Deliver(from, msg, &ElinkNode::OnStart);
+      default:
+        return false;
+    }
+  }
+
   void OnGiveUp(int /*to*/, const Message& m) override {
     // An expand that exhausted its retries behaves like a nack (the
     // neighbor is dead or unreachable).  Abandoned acks and phase/start
@@ -88,6 +87,8 @@ class ElinkNode : public proto::ProtocolNode {
   const Feature& my_feature() const { return (*ctx_->features)[id()]; }
 
   // -- Activation (Fig. 16, procedure ELink) ------------------------------
+  void OnStart(int, const w::Start&) { Activate(); }
+
   void Activate() {
     if (clustered_) {
       // Nothing to expand; in explicit mode still confirm round completion.
@@ -186,6 +187,22 @@ class ElinkNode : public proto::ProtocolNode {
   bool SettledForSwitch() const { return settled_; }
 
   // -- Completion detection (explicit mode; Fig. 18) -----------------------
+  void OnAck1(int, const w::Ack1&) {
+    --pending_;
+    ++children_;
+    CheckExpansionComplete();
+  }
+
+  void OnNack(int, const w::Nack&) {
+    --pending_;
+    CheckExpansionComplete();
+  }
+
+  void OnAck2(int, const w::Ack2&) {
+    --children_;
+    CheckExpansionComplete();
+  }
+
   void CheckExpansionComplete() {
     if (!explicit_mode()) return;
     if (!clustered_ || settled_ || pending_ > 0 || children_ > 0) return;
@@ -212,7 +229,8 @@ class ElinkNode : public proto::ProtocolNode {
     SendRouted(qp, m);
   }
 
-  void OnPhase1(int round) {
+  void OnPhase1(int, const w::Phase1& m) {
+    const int round = static_cast<int>(m.round);
     ELINK_CHECK(round == waiting_round_);
     ELINK_CHECK(phase1_waiting_ > 0);
     if (--phase1_waiting_ > 0) return;
@@ -258,7 +276,9 @@ class ElinkNode : public proto::ProtocolNode {
     }
   }
 
-  void OnPhase2(int round) { BeginNextRound(round); }
+  void OnPhase2(int, const w::Phase2& m) {
+    BeginNextRound(static_cast<int>(m.round));
+  }
 
   RunContext* ctx_;
 
@@ -284,6 +304,15 @@ class ElinkNode : public proto::ProtocolNode {
 };
 
 }  // namespace
+
+std::unique_ptr<proto::ProtocolNode> NewElinkDispatchProbe(
+    proto::BadMessageFn on_bad) {
+  // Only the node's constructor reads it: no frame the probe may receive
+  // reaches a handler.
+  static RunContext idle_ctx;
+  return std::make_unique<proto::DispatchProbe<ElinkNode>>(std::move(on_bad),
+                                                          &idle_ctx);
+}
 
 ImplicitSchedule ComputeImplicitSchedule(int num_nodes, int num_levels,
                                          double gamma) {

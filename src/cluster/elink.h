@@ -30,6 +30,7 @@
 #include "common/status.h"
 #include "data/dataset.h"
 #include "metric/distance.h"
+#include "proto/node.h"
 #include "sim/fault.h"
 #include "sim/observer.h"
 #include "sim/reliable.h"
@@ -139,6 +140,12 @@ struct ImplicitSchedule {
 };
 ImplicitSchedule ComputeImplicitSchedule(int num_nodes, int num_levels,
                                          double gamma);
+
+/// An ELink protocol node over an empty run context whose rejected frames go
+/// to `on_bad` (see proto::DispatchProbe), for tests of the node class's
+/// dispatch.  Deliver it only frames that Dispatch must reject.
+std::unique_ptr<proto::ProtocolNode> NewElinkDispatchProbe(
+    proto::BadMessageFn on_bad);
 
 }  // namespace elink
 

@@ -30,184 +30,7 @@ struct MaintContext {
 
 class MaintNode : public proto::ProtocolNode {
  public:
-  explicit MaintNode(MaintContext* ctx) : ctx_(ctx) {
-    OnMsg<w::FetchUp>([this](int, const w::FetchUp& m) {
-      if (root_ == id()) {
-        w::RootFeature reply;
-        reply.feature = feature_;
-        SendRouted(static_cast<int>(m.origin), reply);
-      } else {
-        Send(parent_, m);
-      }
-    });
-    OnMsg<w::RootFeature>([this](int, const w::RootFeature& m) {
-      if (m.feature.size() != feature_.size()) {
-        RejectBadFields(w::RootFeature::kCategory);
-        return;
-      }
-      stored_root_ = m.feature;
-      if (Dist(feature_, stored_root_) <= ctx_->config.delta + 1e-12) {
-        verified_ = feature_;  // Still compatible: stay.
-      } else {
-        StartDetach();
-      }
-    });
-    OnMsg<w::Push>([this](int from, const w::Push& m) {
-      if (m.feature.size() != feature_.size()) {
-        RejectBadFields(w::Push::kCategory);
-        return;
-      }
-      // Pushes flow down the tree; under churn, ignore one from anyone but
-      // the current parent (ex-parents race their own Leave/Orphan).
-      if (ctx_->churn_aware && from != parent_) return;
-      stored_root_ = m.feature;
-      if (Dist(feature_, stored_root_) > ctx_->config.delta + 1e-12) {
-        // Evicted by the root's drift; children are pushed first so they
-        // hold the fresh root feature when the orphan notice arrives.
-        ForwardPushToChildren(m);
-        StartDetach();
-      } else {
-        RebaseVerified();
-        ForwardPushToChildren(m);
-      }
-    });
-    OnMsg<w::Probe>([this](int from, const w::Probe&) {
-      w::ProbeReply reply;
-      reply.root = root_;
-      reply.settled = probing_ ? 0 : 1;
-      reply.stored_root = stored_root_;
-      Send(from, reply);
-    });
-    OnMsg<w::ProbeReply>([this](int from, const w::ProbeReply& m) {
-      if (m.stored_root.size() != feature_.size()) {
-        RejectBadFields(w::ProbeReply::kCategory);
-        return;
-      }
-      // Only the neighbor we are currently waiting on may answer; replies
-      // from an earlier scan (a probe restarted by churn, or a re-detach
-      // with the old reply still in flight) are stale and ignored.
-      if (from != pending_probe_target_) return;
-      OnProbeReply(from, static_cast<int>(m.root), m.settled != 0,
-                   m.stored_root);
-    });
-    OnMsg<w::Leave>([this](int from, const w::Leave&) {
-      children_.erase(std::remove(children_.begin(), children_.end(), from),
-                      children_.end());
-    });
-    OnMsg<w::Attach>([this](int from, const w::Attach&) {
-      children_.push_back(from);
-      if (ctx_->churn_aware) {
-        // Under churn the adopter may have restarted or re-rooted while the
-        // Attach was in flight; echo the authoritative root so the new
-        // child can never be left pointing into a stale tree.
-        w::RootChanged m;
-        m.root = root_;
-        m.feature = stored_root_;
-        Send(from, m);
-      }
-    });
-    OnMsg<w::EpochReport>([this](int, const w::EpochReport& m) {
-      if (root_ == id()) {
-        // End of the custody chain: whatever root the walk reached is the
-        // origin's actual tree root.  A match means the adoption landed in
-        // a live tree (a membership change worth an epoch bump); the ack
-        // lets the origin compare and freshen its stored root feature.
-        if (static_cast<int>(m.root) == id()) BumpEpoch();
-        w::VerifyAck ack;
-        ack.root = id();
-        ack.seq = m.seq;
-        ack.feature = feature_;
-        SendRouted(static_cast<int>(m.origin), ack);
-        return;
-      }
-      if (m.ttl <= 0 || parent_ == id()) {
-        // Hop budget spent without reaching a root (the parent chain cycles
-        // among stale believers), or the chain hit a node that calls itself
-        // parentless while claiming a foreign root (a relabel landed
-        // mid-repair): either way the origin's claim is not backed by a
-        // live tree.
-        w::VerifyGone gone;
-        gone.seq = m.seq;
-        SendRouted(static_cast<int>(m.origin), gone);
-        return;
-      }
-      w::EpochReport fwd = m;
-      fwd.ttl = m.ttl - 1;
-      Send(parent_, fwd);
-    });
-    OnMsg<w::VerifyAck>([this](int, const w::VerifyAck& m) {
-      if (m.feature.size() != feature_.size()) {
-        RejectBadFields(w::VerifyAck::kCategory);
-        return;
-      }
-      if (m.seq != verify_waiting_seq_) return;  // A superseded walk.
-      verify_waiting_seq_ = -1;
-      if (probing_ || root_ == id()) return;
-      if (static_cast<int>(m.root) != root_) {
-        // The chain ended at some other root: our claimed cluster no
-        // longer exists as a tree we belong to.
-        PurgeStale();
-        return;
-      }
-      stored_root_ = m.feature;
-      if (Dist(feature_, stored_root_) > ctx_->config.delta + 1e-12) {
-        StartDetach();
-      } else {
-        verified_ = feature_;
-      }
-    });
-    OnMsg<w::VerifyGone>([this](int, const w::VerifyGone& m) {
-      if (m.seq != verify_waiting_seq_) return;
-      verify_waiting_seq_ = -1;
-      if (!probing_ && root_ != id()) PurgeStale();
-    });
-    OnMsg<w::Orphan>([this](int from, const w::Orphan&) {
-      // Only the node we currently call parent may orphan us (churn only:
-      // an ex-parent's stale flatten must not dissolve the new subtree).
-      if (ctx_->churn_aware && from != parent_) return;
-      if (!probing_) {
-        // The parent departed.  Flatten: orphan our own subtree too (every
-        // probing node is then a leaf, which keeps adoption acyclic), and
-        // look for a new home, preferring the old cluster.
-        for (int child : children_) Send(child, w::Orphan{});
-        children_.clear();
-        reattach_mode_ = true;
-        old_root_ = root_;
-        StartProbing();
-      }
-    });
-    OnMsg<w::RootChanged>([this](int from, const w::RootChanged& m) {
-      if (m.feature.size() != feature_.size()) {
-        RejectBadFields(w::RootChanged::kCategory);
-        return;
-      }
-      // Tree-authority guard (churn only): relabels travel strictly down
-      // the tree, so only the current parent may speak.  A stale copy from
-      // an ex-parent (its Leave still in flight) would otherwise relabel a
-      // detached singleton into root != self with parent == self — a state
-      // the custody walk then forwards to itself.
-      if (ctx_->churn_aware && from != parent_) return;
-      // Idempotence guard: a transient tree inconsistency (an Attach
-      // crossing an Orphan mid-detach, with or without churn) can route a
-      // RootChanged back into a node that already holds it; re-forwarding
-      // identical state down a momentary parent cycle would loop forever.
-      if (static_cast<int>(m.root) == root_ && m.feature == stored_root_) {
-        return;
-      }
-      root_ = static_cast<int>(m.root);
-      stored_root_ = m.feature;
-      for (int child : children_) Send(child, m);
-      if (probing_) return;
-      if (Dist(feature_, stored_root_) > ctx_->config.delta + 1e-12) {
-        // The relabel (attach echo, or a subtree re-root racing our own
-        // update) put us out of range of the authoritative root feature:
-        // evict ourselves exactly as a Push carrying it would have.
-        StartDetach();
-      } else {
-        RebaseVerified();
-      }
-    });
-  }
+  explicit MaintNode(MaintContext* ctx) : ctx_(ctx) {}
 
   // Deployment (driver, before any update).
   void Deploy(Feature feature, int root, int parent,
@@ -250,6 +73,37 @@ class MaintNode : public proto::ProtocolNode {
   }
 
  protected:
+  bool Dispatch(int from, const Message& msg) override {
+    switch (msg.type) {
+      case w::FetchUp::kType:
+        return Deliver(from, msg, &MaintNode::OnFetchUp);
+      case w::RootFeature::kType:
+        return Deliver(from, msg, &MaintNode::OnRootFeature);
+      case w::Push::kType:
+        return Deliver(from, msg, &MaintNode::OnPush);
+      case w::Probe::kType:
+        return Deliver(from, msg, &MaintNode::OnProbe);
+      case w::ProbeReply::kType:
+        return Deliver(from, msg, &MaintNode::OnProbeReply);
+      case w::Leave::kType:
+        return Deliver(from, msg, &MaintNode::OnLeave);
+      case w::Attach::kType:
+        return Deliver(from, msg, &MaintNode::OnAttach);
+      case w::EpochReport::kType:
+        return Deliver(from, msg, &MaintNode::OnEpochReport);
+      case w::VerifyAck::kType:
+        return Deliver(from, msg, &MaintNode::OnVerifyAck);
+      case w::VerifyGone::kType:
+        return Deliver(from, msg, &MaintNode::OnVerifyGone);
+      case w::Orphan::kType:
+        return Deliver(from, msg, &MaintNode::OnOrphan);
+      case w::RootChanged::kType:
+        return Deliver(from, msg, &MaintNode::OnRootChanged);
+      default:
+        return false;
+    }
+  }
+
   /// Churn repair: the node came back (join or crash repair).  The previous
   /// incarnation's tree links are void — the network orphaned its timers and
   /// the runtime reset the transport — so it restarts as a self-consistent
@@ -329,6 +183,196 @@ class MaintNode : public proto::ProtocolNode {
   }
 
  private:
+  // -- Handlers, one per message type (see Dispatch). ----------------------
+
+  void OnFetchUp(int, const w::FetchUp& m) {
+    if (root_ == id()) {
+      w::RootFeature reply;
+      reply.feature = feature_;
+      SendRouted(static_cast<int>(m.origin), reply);
+    } else {
+      Send(parent_, m);
+    }
+  }
+
+  void OnRootFeature(int, const w::RootFeature& m) {
+    if (m.feature.size() != feature_.size()) {
+      RejectBadFields(w::RootFeature::kCategory);
+      return;
+    }
+    stored_root_ = m.feature;
+    if (Dist(feature_, stored_root_) <= ctx_->config.delta + 1e-12) {
+      verified_ = feature_;  // Still compatible: stay.
+    } else {
+      StartDetach();
+    }
+  }
+
+  void OnPush(int from, const w::Push& m) {
+    if (m.feature.size() != feature_.size()) {
+      RejectBadFields(w::Push::kCategory);
+      return;
+    }
+    // Pushes flow down the tree; under churn, ignore one from anyone but
+    // the current parent (ex-parents race their own Leave/Orphan).
+    if (ctx_->churn_aware && from != parent_) return;
+    stored_root_ = m.feature;
+    if (Dist(feature_, stored_root_) > ctx_->config.delta + 1e-12) {
+      // Evicted by the root's drift; children are pushed first so they
+      // hold the fresh root feature when the orphan notice arrives.
+      ForwardPushToChildren(m);
+      StartDetach();
+    } else {
+      RebaseVerified();
+      ForwardPushToChildren(m);
+    }
+  }
+
+  void OnProbe(int from, const w::Probe&) {
+    w::ProbeReply reply;
+    reply.root = root_;
+    reply.settled = probing_ ? 0 : 1;
+    reply.stored_root = stored_root_;
+    Send(from, reply);
+  }
+
+  void OnProbeReply(int from, const w::ProbeReply& m) {
+    if (m.stored_root.size() != feature_.size()) {
+      RejectBadFields(w::ProbeReply::kCategory);
+      return;
+    }
+    // Only the neighbor we are currently waiting on may answer; replies
+    // from an earlier scan (a probe restarted by churn, or a re-detach
+    // with the old reply still in flight) are stale and ignored.
+    if (from != pending_probe_target_) return;
+    ConsiderProbeReply(from, static_cast<int>(m.root), m.settled != 0,
+                       m.stored_root);
+  }
+
+  void OnLeave(int from, const w::Leave&) {
+    children_.erase(std::remove(children_.begin(), children_.end(), from),
+                    children_.end());
+  }
+
+  void OnAttach(int from, const w::Attach&) {
+    children_.push_back(from);
+    if (ctx_->churn_aware) {
+      // Under churn the adopter may have restarted or re-rooted while the
+      // Attach was in flight; echo the authoritative root so the new
+      // child can never be left pointing into a stale tree.
+      w::RootChanged m;
+      m.root = root_;
+      m.feature = stored_root_;
+      Send(from, m);
+    }
+  }
+
+  void OnEpochReport(int, const w::EpochReport& m) {
+    if (root_ == id()) {
+      // End of the custody chain: whatever root the walk reached is the
+      // origin's actual tree root.  A match means the adoption landed in
+      // a live tree (a membership change worth an epoch bump); the ack
+      // lets the origin compare and freshen its stored root feature.
+      if (static_cast<int>(m.root) == id()) BumpEpoch();
+      w::VerifyAck ack;
+      ack.root = id();
+      ack.seq = m.seq;
+      ack.feature = feature_;
+      SendRouted(static_cast<int>(m.origin), ack);
+      return;
+    }
+    if (m.ttl <= 0 || parent_ == id()) {
+      // Hop budget spent without reaching a root (the parent chain cycles
+      // among stale believers), or the chain hit a node that calls itself
+      // parentless while claiming a foreign root (a relabel landed
+      // mid-repair): either way the origin's claim is not backed by a
+      // live tree.
+      w::VerifyGone gone;
+      gone.seq = m.seq;
+      SendRouted(static_cast<int>(m.origin), gone);
+      return;
+    }
+    w::EpochReport fwd = m;
+    fwd.ttl = m.ttl - 1;
+    Send(parent_, fwd);
+  }
+
+  void OnVerifyAck(int, const w::VerifyAck& m) {
+    if (m.feature.size() != feature_.size()) {
+      RejectBadFields(w::VerifyAck::kCategory);
+      return;
+    }
+    if (m.seq != verify_waiting_seq_) return;  // A superseded walk.
+    verify_waiting_seq_ = -1;
+    if (probing_ || root_ == id()) return;
+    if (static_cast<int>(m.root) != root_) {
+      // The chain ended at some other root: our claimed cluster no
+      // longer exists as a tree we belong to.
+      PurgeStale();
+      return;
+    }
+    stored_root_ = m.feature;
+    if (Dist(feature_, stored_root_) > ctx_->config.delta + 1e-12) {
+      StartDetach();
+    } else {
+      verified_ = feature_;
+    }
+  }
+
+  void OnVerifyGone(int, const w::VerifyGone& m) {
+    if (m.seq != verify_waiting_seq_) return;
+    verify_waiting_seq_ = -1;
+    if (!probing_ && root_ != id()) PurgeStale();
+  }
+
+  void OnOrphan(int from, const w::Orphan&) {
+    // Only the node we currently call parent may orphan us (churn only:
+    // an ex-parent's stale flatten must not dissolve the new subtree).
+    if (ctx_->churn_aware && from != parent_) return;
+    if (!probing_) {
+      // The parent departed.  Flatten: orphan our own subtree too (every
+      // probing node is then a leaf, which keeps adoption acyclic), and
+      // look for a new home, preferring the old cluster.
+      for (int child : children_) Send(child, w::Orphan{});
+      children_.clear();
+      reattach_mode_ = true;
+      old_root_ = root_;
+      StartProbing();
+    }
+  }
+
+  void OnRootChanged(int from, const w::RootChanged& m) {
+    if (m.feature.size() != feature_.size()) {
+      RejectBadFields(w::RootChanged::kCategory);
+      return;
+    }
+    // Tree-authority guard (churn only): relabels travel strictly down
+    // the tree, so only the current parent may speak.  A stale copy from
+    // an ex-parent (its Leave still in flight) would otherwise relabel a
+    // detached singleton into root != self with parent == self — a state
+    // the custody walk then forwards to itself.
+    if (ctx_->churn_aware && from != parent_) return;
+    // Idempotence guard: a transient tree inconsistency (an Attach
+    // crossing an Orphan mid-detach, with or without churn) can route a
+    // RootChanged back into a node that already holds it; re-forwarding
+    // identical state down a momentary parent cycle would loop forever.
+    if (static_cast<int>(m.root) == root_ && m.feature == stored_root_) {
+      return;
+    }
+    root_ = static_cast<int>(m.root);
+    stored_root_ = m.feature;
+    for (int child : children_) Send(child, m);
+    if (probing_) return;
+    if (Dist(feature_, stored_root_) > ctx_->config.delta + 1e-12) {
+      // The relabel (attach echo, or a subtree re-root racing our own
+      // update) put us out of range of the authoritative root feature:
+      // evict ourselves exactly as a Push carrying it would have.
+      StartDetach();
+    } else {
+      RebaseVerified();
+    }
+  }
+
   static constexpr int kRetryTimer = 1;
   static constexpr int kVerifyTimer = 2;
 
@@ -460,8 +504,8 @@ class MaintNode : public proto::ProtocolNode {
     Send(neighbors[probe_index_], w::Probe{});
   }
 
-  void OnProbeReply(int from, int nb_root, bool nb_settled,
-                    const Feature& nb_stored_root) {
+  void ConsiderProbeReply(int from, int nb_root, bool nb_settled,
+                          const Feature& nb_stored_root) {
     if (!probing_) return;
     ++probe_index_;
     if (!nb_settled) unsettled_seen_ = true;
@@ -632,6 +676,14 @@ DistributedMaintenance::DistributedMaintenance(
 }
 
 DistributedMaintenance::~DistributedMaintenance() = default;
+
+std::unique_ptr<proto::ProtocolNode> NewMaintenanceDispatchProbe(
+    proto::BadMessageFn on_bad) {
+  // No frame the probe may receive reaches a handler, so nothing reads it.
+  static MaintContext idle_ctx;
+  return std::make_unique<proto::DispatchProbe<MaintNode>>(std::move(on_bad),
+                                                          &idle_ctx);
+}
 
 void DistributedMaintenance::ApplyUpdate(int node, const Feature& updated) {
   static_cast<MaintNode*>(impl_->net().node(node))->LocalUpdate(updated);

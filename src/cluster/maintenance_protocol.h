@@ -21,6 +21,7 @@
 #include "cluster/maintenance.h"
 #include "common/status.h"
 #include "metric/distance.h"
+#include "proto/node.h"
 #include "sim/network.h"
 
 namespace elink {
@@ -123,6 +124,12 @@ class DistributedMaintenance {
   std::unique_ptr<Impl> impl_;
   std::shared_ptr<const DistanceMetric> metric_keepalive_;
 };
+
+/// A maintenance protocol node over an empty context whose rejected frames
+/// go to `on_bad` (see proto::DispatchProbe), for tests of the node class's
+/// dispatch.  Deliver it only frames that Dispatch must reject.
+std::unique_ptr<proto::ProtocolNode> NewMaintenanceDispatchProbe(
+    proto::BadMessageFn on_bad);
 
 }  // namespace elink
 

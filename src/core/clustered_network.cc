@@ -7,7 +7,8 @@ ClusteredSensorNetwork::ClusteredSensorNetwork(
     Options options)
     : topology_(std::move(topology)),
       metric_(std::move(metric)),
-      options_(options) {}
+      options_(options),
+      route_memo_(topology_.num_nodes()) {}
 
 Result<std::unique_ptr<ClusteredSensorNetwork>> ClusteredSensorNetwork::Build(
     const SensorDataset& dataset, const Options& options) {
@@ -85,11 +86,13 @@ void ClusteredSensorNetwork::RebuildIndex() {
   DistributedRangeQuery::ProtocolOptions qopt;
   qopt.synchronous = options_.synchronous;
   qopt.seed = options_.seed;
+  qopt.route_memo = &route_memo_;
   range_protocol_ = std::make_unique<DistributedRangeQuery>(
       topology_, clustering, *index_, *backbone_, features, metric_, qopt);
   PathProtocolOptions popt;
   popt.synchronous = options_.synchronous;
   popt.seed = options_.seed;
+  popt.route_memo = &route_memo_;
   path_protocol_ = std::make_unique<DistributedPathQuery>(
       topology_, clustering, *index_, *backbone_, features, metric_, popt);
   index_valid_ = true;
@@ -109,6 +112,13 @@ void ClusteredSensorNetwork::EnsureIndex() {
     maintenance_units_seen_ = seen;
   }
   if (!index_valid_) RebuildIndex();
+}
+
+void ClusteredSensorNetwork::BoundRouteMemo() {
+  if (route_memo_.size() >
+      kRouteMemoEntriesPerNode * static_cast<size_t>(num_nodes())) {
+    route_memo_.Clear();
+  }
 }
 
 const ClusterIndex& ClusteredSensorNetwork::cluster_index() {
@@ -149,6 +159,7 @@ Result<DistributedQueryOutcome> ClusteredSensorNetwork::RangeQueryDistributed(
     int initiator, const Feature& q, double r) {
   EnsureIndex();
   Result<DistributedQueryOutcome> out = range_protocol_->Run(initiator, q, r);
+  BoundRouteMemo();
   if (out.ok()) stats_.Merge(out.value().stats);
   return out;
 }
@@ -158,6 +169,7 @@ Result<PathQueryResult> ClusteredSensorNetwork::SafePathDistributed(
   EnsureIndex();
   Result<PathQueryResult> out =
       path_protocol_->Run(source, destination, danger, gamma);
+  BoundRouteMemo();
   if (out.ok()) stats_.Merge(out.value().stats);
   return out;
 }

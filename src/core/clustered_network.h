@@ -98,6 +98,16 @@ class ClusteredSensorNetwork {
   /// Cost of the initial clustering alone (paper message units).
   uint64_t clustering_cost_units() const { return clustering_cost_units_; }
 
+  /// (relay, destination) entries in the route memo that the distributed
+  /// queries of every index version share (see Network::Config::route_memo).
+  /// At most kRouteMemoEntriesPerNode * num_nodes() between queries.
+  size_t route_memo_entries() const { return route_memo_.size(); }
+
+  /// Bound of the shared route memo, per node.  Each index version adds the
+  /// routes to its new leaders and initiators, so without a bound the memo
+  /// would grow with the number of versions; past the bound it starts over.
+  static constexpr size_t kRouteMemoEntriesPerNode = 4;
+
   // -- Maintenance (Section 6) ------------------------------------------------
 
   /// Applies a feature update through the A1-A3 slack protocol.
@@ -145,6 +155,11 @@ class ClusteredSensorNetwork {
   /// current clustering + features; charges index-build messages.
   void RebuildIndex();
 
+  /// Clears the shared route memo once it holds more than
+  /// kRouteMemoEntriesPerNode entries per node.  Runs after every
+  /// distributed query.
+  void BoundRouteMemo();
+
   /// Invalidate engines after membership or feature changes.
   void MarkDirty() { index_valid_ = false; }
   void EnsureIndex();
@@ -157,6 +172,9 @@ class ClusteredSensorNetwork {
   MessageStats stats_;
   uint64_t clustering_cost_units_ = 0;
   uint64_t maintenance_units_seen_ = 0;
+  // Routes over topology_, which never changes: one memo for the facade's
+  // lifetime, lent to the distributed protocols of every index version.
+  RouteMemo route_memo_;
 
   // Index layer (lazily rebuilt).
   bool index_valid_ = false;

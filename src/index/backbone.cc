@@ -8,6 +8,8 @@
 #include <tuple>
 #include <utility>
 
+#include "index/mtree.h"
+
 namespace elink {
 
 Backbone Backbone::Build(const Clustering& clustering,
@@ -199,6 +201,35 @@ Backbone Backbone::Build(const Clustering& clustering,
     bb.flood_hops_ = num_marked - 1;
   }
   return bb;
+}
+
+BackboneMembers::BackboneMembers(const Backbone& backbone,
+                                 const ClusterIndex& index) {
+  const int n = index.num_nodes();
+  begin_.assign(n, -1);
+  end_.assign(n, -1);
+  order_.reserve(n);
+  // Preorder walk with an explicit stack of (leader, next child position):
+  // Prim backbones can be hundreds of leaders deep.
+  std::vector<std::pair<int, size_t>> stack;
+  auto enter = [&](int leader) {
+    begin_[leader] = static_cast<int>(order_.size());
+    const std::vector<int>& own = index.subtree(leader);
+    order_.insert(order_.end(), own.begin(), own.end());
+    stack.emplace_back(leader, 0);
+  };
+  enter(backbone.tree_root());
+  while (!stack.empty()) {
+    auto& [leader, next] = stack.back();
+    const std::vector<int>& children = backbone.tree_children(leader);
+    if (next < children.size()) {
+      // `enter` may grow the stack: `leader` and `next` are dead after it.
+      enter(children[next++]);
+    } else {
+      end_[leader] = static_cast<int>(order_.size());
+      stack.pop_back();
+    }
+  }
 }
 
 }  // namespace elink

@@ -15,6 +15,7 @@
 #ifndef ELINK_INDEX_BACKBONE_H_
 #define ELINK_INDEX_BACKBONE_H_
 
+#include <span>
 #include <vector>
 
 #include "cluster/clustering.h"
@@ -23,6 +24,8 @@
 #include "sim/stats.h"
 
 namespace elink {
+
+class ClusterIndex;
 
 /// \brief The leader backbone of a clustering.
 class Backbone {
@@ -109,6 +112,36 @@ class Backbone {
   int tree_root_ = -1;
   int total_tree_hops_ = 0;
   int flood_hops_ = 0;
+};
+
+/// \brief The members of every leader's backbone subtree, in O(N) memory.
+///
+/// A leader's backbone subtree holds its own cluster (the leader's M-tree
+/// subtree in the index) and the clusters of every leader below it.  The
+/// clusters are laid out once, in DFS preorder of the backbone tree, so each
+/// leader's members are one contiguous span of that order, whatever the
+/// depth of the tree.  The query engines and the path protocol use it to
+/// settle a whole backbone subtree at once.
+class BackboneMembers {
+ public:
+  BackboneMembers(const Backbone& backbone, const ClusterIndex& index);
+
+  /// Every node of `leader`'s backbone subtree, in DFS order (not sorted).
+  /// Only valid for leader ids.
+  std::span<const int> of(int leader) const {
+    ELINK_CHECK(leader >= 0 && leader < static_cast<int>(begin_.size()) &&
+                begin_[leader] >= 0);
+    return std::span<const int>(order_).subspan(
+        static_cast<size_t>(begin_[leader]),
+        static_cast<size_t>(end_[leader] - begin_[leader]));
+  }
+
+ private:
+  std::vector<int> order_;
+  // Indexed by node id: the span [begin_, end_) of a leader in order_;
+  // begin_ is -1 for nodes that lead no cluster.
+  std::vector<int> begin_;
+  std::vector<int> end_;
 };
 
 }  // namespace elink

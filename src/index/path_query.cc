@@ -20,21 +20,18 @@ PathQueryEngine::PathQueryEngine(const Clustering& clustering,
       metric_(metric),
       delta_(delta),
       feature_dim_(features.empty() ? 0
-                                    : static_cast<int>(features[0].size())) {
+                                    : static_cast<int>(features[0].size())),
+      backbone_members_(backbone, index) {
   // Upper-level covering radii over backbone subtrees (see
   // RangeQueryEngine's constructor for the same aggregation).
   for (int leader : backbone_.leaders_bottom_up()) {
     double radius = index_.root_ball_radius(leader);
-    std::vector<int> members = index_.subtree(leader);
     for (int child : backbone_.tree_children(leader)) {
       radius = std::max(
           radius, metric_.Distance(features_[leader], features_[child]) +
                       backbone_radius_.at(child));
-      const auto& sub = backbone_members_.at(child);
-      members.insert(members.end(), sub.begin(), sub.end());
     }
     backbone_radius_[leader] = radius;
-    backbone_members_[leader] = std::move(members);
   }
 }
 
@@ -60,7 +57,7 @@ void PathQueryEngine::VisitBackbone(int leader, const Feature& danger,
     const double d_child = metric_.Distance(features_[child], danger);
     if (d_child - child_radius >= gamma - 1e-12) {
       // Whole backbone subtree safe: no transmissions needed.
-      for (int m : backbone_members_.at(child)) (*safe)[m] = 1;
+      for (int m : backbone_members_.of(child)) (*safe)[m] = 1;
       continue;
     }
     if (d_child + child_radius < gamma - 1e-12) {

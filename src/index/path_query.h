@@ -84,7 +84,7 @@ class PathQueryEngine {
   /// Upper-level covering radius per leader over its backbone subtree.
   std::map<int, double> backbone_radius_;
   /// All member nodes of each leader's backbone subtree.
-  std::map<int, std::vector<int>> backbone_members_;
+  BackboneMembers backbone_members_;
 };
 
 }  // namespace elink

@@ -30,7 +30,7 @@ struct DistributedPathQuery::NodeState {
     int id = -1;
     const Feature* feature = nullptr;
     double subtree_radius = 0.0;
-    const std::vector<int>* members = nullptr;
+    std::span<const int> members;
   };
   std::vector<BackboneChild> backbone_children;
 };
@@ -56,35 +56,7 @@ struct PathContext {
 class PathNode : public proto::ProtocolNode {
  public:
   PathNode(const PathNodeState* state, PathContext* ctx)
-      : state_(state), ctx_(ctx) {
-    OnMsg<w::PathUp>([this](int, const w::PathUp& m) {
-      if (id() == state_->cluster_root) {
-        LeaderEntry();
-      } else {
-        Send(state_->tree_parent, m);
-      }
-    });
-    OnMsg<w::PathRoute>([this](int, const w::PathRoute& m) {
-      if (state_->is_backbone_root) {
-        StartVisit(/*reply_to=*/-1);
-      } else {
-        SendRouted(state_->backbone_parent, m);
-      }
-    });
-    OnMsg<w::PathVisit>([this](int, const w::PathVisit& m) {
-      StartVisit(static_cast<int>(m.sender));
-    });
-    OnMsg<w::PathDrill>(
-        [this](int from, const w::PathDrill&) { OnDrill(from); });
-    OnMsg<w::PathDrillDone>([this](int, const w::PathDrillDone&) {
-      --pending_;
-      CheckDone();
-    });
-    OnMsg<w::PathVisitDone>([this](int, const w::PathVisitDone&) {
-      --pending_;
-      CheckDone();
-    });
-  }
+      : state_(state), ctx_(ctx) {}
 
   /// Driver entry point at the source node (before the event loop runs).
   void Inject() {
@@ -98,7 +70,62 @@ class PathNode : public proto::ProtocolNode {
     }
   }
 
+ protected:
+  bool Dispatch(int from, const Message& msg) override {
+    switch (msg.type) {
+      case w::PathUp::kType:
+        return Deliver(from, msg, &PathNode::OnPathUp);
+      case w::PathRoute::kType:
+        return Deliver(from, msg, &PathNode::OnPathRoute);
+      case w::PathVisit::kType:
+        return Deliver(from, msg, &PathNode::OnPathVisit);
+      case w::PathDrill::kType:
+        return Deliver(from, msg, &PathNode::OnPathDrill);
+      case w::PathDrillDone::kType:
+        return Deliver(from, msg, &PathNode::OnPathDrillDone);
+      case w::PathVisitDone::kType:
+        return Deliver(from, msg, &PathNode::OnPathVisitDone);
+      default:
+        return false;
+    }
+  }
+
  private:
+  // -- Handlers, one per message type (see Dispatch). ----------------------
+
+  void OnPathUp(int, const w::PathUp& m) {
+    if (id() == state_->cluster_root) {
+      LeaderEntry();
+    } else {
+      Send(state_->tree_parent, m);
+    }
+  }
+
+  void OnPathRoute(int, const w::PathRoute& m) {
+    if (state_->is_backbone_root) {
+      StartVisit(/*reply_to=*/-1);
+    } else {
+      SendRouted(state_->backbone_parent, m);
+    }
+  }
+
+  void OnPathVisit(int, const w::PathVisit& m) {
+    StartVisit(static_cast<int>(m.sender));
+  }
+
+  /// A drill arrived from our M-tree parent.
+  void OnPathDrill(int from, const w::PathDrill&) { DrillLocal(from); }
+
+  void OnPathDrillDone(int, const w::PathDrillDone&) {
+    --pending_;
+    CheckDone();
+  }
+
+  void OnPathVisitDone(int, const w::PathVisitDone&) {
+    --pending_;
+    CheckDone();
+  }
+
   double DangerDist(const Feature& f) const {
     return ctx_->metric->Distance(f, ctx_->danger);
   }
@@ -145,7 +172,7 @@ class PathNode : public proto::ProtocolNode {
     for (const auto& child : state_->backbone_children) {
       const double d_child = DangerDist(*child.feature);
       if (d_child - child.subtree_radius >= ctx_->gamma - 1e-12) {
-        for (int m : *child.members) ctx_->safe[m] = 1;
+        for (int m : child.members) ctx_->safe[m] = 1;
         continue;
       }
       if (d_child + child.subtree_radius < ctx_->gamma - 1e-12) continue;
@@ -158,9 +185,6 @@ class PathNode : public proto::ProtocolNode {
     }
     CheckDone();
   }
-
-  /// A PathDrill arrived from our M-tree parent.
-  void OnDrill(int from) { DrillLocal(from); }
 
   /// Classify this node's M-tree subtree; `reply_hop` is the drill parent
   /// to ack (or -1 when the drill starts at a visited leader).
@@ -231,25 +255,23 @@ DistributedPathQuery::DistributedPathQuery(
       backbone_(backbone),
       metric_(std::move(metric)),
       options_(options),
-      backbone_members_(topology.num_nodes()),
+      backbone_members_(backbone, index),
       states_(topology.num_nodes()),
-      route_memo_(topology.num_nodes()) {
+      own_memo_(topology.num_nodes()),
+      memo_(options_.route_memo != nullptr ? options_.route_memo
+                                           : &own_memo_) {
   // Upper-level covering radii over backbone subtrees, children before
   // parents (identical aggregation to PathQueryEngine's constructor).
   const int n = topology.num_nodes();
   std::vector<double> backbone_radius(n, 0.0);
   for (int leader : backbone.leaders_bottom_up()) {
     double radius = index.root_ball_radius(leader);
-    std::vector<int> members = index.subtree(leader);
     for (int child : backbone.tree_children(leader)) {
       radius = std::max(
           radius, metric_->Distance(features[leader], features[child]) +
                       backbone_radius[child]);
-      const std::vector<int>& sub = backbone_members_[child];
-      members.insert(members.end(), sub.begin(), sub.end());
     }
     backbone_radius[leader] = radius;
-    backbone_members_[leader] = std::move(members);
   }
 
   // Deployment: hand every node its slice of the cluster/index/backbone
@@ -274,13 +296,23 @@ DistributedPathQuery::DistributedPathQuery(
       c.id = child;
       c.feature = &features[child];
       c.subtree_radius = backbone_radius[child];
-      c.members = &backbone_members_[child];
+      c.members = backbone_members_.of(child);
       s.backbone_children.push_back(c);
     }
   }
 }
 
 DistributedPathQuery::~DistributedPathQuery() = default;
+
+std::unique_ptr<proto::ProtocolNode> NewPathQueryDispatchProbe(
+    proto::BadMessageFn on_bad) {
+  // No frame the probe may receive reaches a handler, so nothing reads
+  // these.
+  static const PathNodeState kIdleState{};
+  static PathContext idle_ctx;
+  return std::make_unique<proto::DispatchProbe<PathNode>>(
+      std::move(on_bad), &kIdleState, &idle_ctx);
+}
 
 Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
                                                   const Feature& danger,
@@ -303,7 +335,7 @@ Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
   hopt.net.seed = options_.seed;
   hopt.net.fault = options_.fault;
   hopt.net.churn = options_.churn;
-  hopt.net.route_memo = &route_memo_;
+  hopt.net.route_memo = memo_;
   proto::RunHarness harness(topology_, hopt);
   harness.set_observer(options_.observer);
   harness.InstallNodes(

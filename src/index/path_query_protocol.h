@@ -15,6 +15,7 @@
 #define ELINK_INDEX_PATH_QUERY_PROTOCOL_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cluster/clustering.h"
@@ -23,6 +24,7 @@
 #include "index/mtree.h"
 #include "index/path_query.h"
 #include "metric/distance.h"
+#include "proto/node.h"
 #include "sim/churn.h"
 #include "sim/fault.h"
 #include "sim/network.h"
@@ -43,6 +45,10 @@ struct PathProtocolOptions {
   /// Read-only observer (telemetry/tracer) bound to every Run's network.
   /// Not owned; attaching never changes the query's outcome.
   SimObserver* observer = nullptr;
+  /// Route memo lent to every Run's network instead of the object's own
+  /// (see Network::Config::route_memo): borrowed, it must outlive the object
+  /// and cover the same topology.  Null uses the object's own memo.
+  RouteMemo* route_memo = nullptr;
 };
 
 /// \brief Executes path queries as a distributed protocol.
@@ -54,8 +60,8 @@ class DistributedPathQuery {
                        std::shared_ptr<const DistanceMetric> metric,
                        PathProtocolOptions options = {});
 
-  // Leader states point into this object's backbone_members_, which a copy
-  // would share with the original.
+  // Leader states point into this object's backbone_members_, and memo_ may
+  // point at own_memo_; a copy would share both with the original.
   DistributedPathQuery(const DistributedPathQuery&) = delete;
   DistributedPathQuery& operator=(const DistributedPathQuery&) = delete;
 
@@ -68,8 +74,9 @@ class DistributedPathQuery {
 
   ~DistributedPathQuery();
 
-  /// Routes every Run has memoized so far over the shared topology.
-  const RouteMemo& route_memo() const { return route_memo_; }
+  /// Routes every Run has memoized so far over the shared topology (the
+  /// lent memo when the options carry one).
+  const RouteMemo& route_memo() const { return *memo_; }
 
   /// One node's slice of the deployment (defined in path_query_protocol.cc).
   struct NodeState;
@@ -80,15 +87,22 @@ class DistributedPathQuery {
   const Backbone& backbone_;
   std::shared_ptr<const DistanceMetric> metric_;
   PathProtocolOptions options_;
-  /// All member nodes of each leader's backbone subtree, indexed by leader
-  /// id (empty for other nodes).
-  std::vector<std::vector<int>> backbone_members_;
+  /// All member nodes of each leader's backbone subtree.
+  BackboneMembers backbone_members_;
   /// Built once at construction; every Run installs nodes that point into
   /// it.  Leader entries point into backbone_members_.
   std::vector<NodeState> states_;
-  /// Lent to every Run's Network (see DistributedRangeQuery).
-  RouteMemo route_memo_;
+  /// Lent to every Run's Network (see DistributedRangeQuery): `memo_` is
+  /// options_.route_memo, else &own_memo_.
+  RouteMemo own_memo_;
+  RouteMemo* memo_;
 };
+
+/// A path-query protocol node over empty per-node state whose rejected
+/// frames go to `on_bad` (see proto::DispatchProbe), for tests of the node
+/// class's dispatch.  Deliver it only frames that Dispatch must reject.
+std::unique_ptr<proto::ProtocolNode> NewPathQueryDispatchProbe(
+    proto::BadMessageFn on_bad);
 
 }  // namespace elink
 

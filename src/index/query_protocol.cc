@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "index/query_wire.h"
 #include "proto/harness.h"
@@ -99,67 +100,6 @@ class QueryNode : public proto::ProtocolNode {
       // point writes the subtree off at its deadline.
       EnableReliable(ctx_->reliable_cfg);
     }
-    OnMsg<w::Up>([this](int, const w::Up& m) {
-      if (id() == state_->cluster_root) {
-        ArrivedAtOwnRoot();
-      } else {
-        Send(state_->tree_parent, m);
-      }
-    });
-    OnMsg<w::ToBackboneRoot>([this](int, const w::ToBackboneRoot&) {
-      if (state_->is_backbone_root) {
-        StartVisit(/*reply_to=*/-1, ctx_->node_deadline);
-      } else {
-        ForwardToBackboneRoot();
-      }
-    });
-    OnMsg<w::Visit>([this](int, const w::Visit& m) {
-      // Routed messages deliver with `from` = the last relay hop; the
-      // logical sender rides in the schema (and its deadline budget when
-      // deadlines are configured).
-      StartVisit(/*reply_to=*/static_cast<int>(m.sender),
-                 m.budget.has_value() ? DecodeBudget(*m.budget) : 0.0);
-    });
-    OnMsg<w::BackboneInclude>([this](int, const w::BackboneInclude& m) {
-      // Whole backbone subtree matches; answer with the cached population.
-      w::BackboneReply reply;
-      reply.count = SubtreePopulation();
-      reply.incomplete = 0;
-      SendRouted(static_cast<int>(m.sender), reply);
-    });
-    OnMsg<w::BackboneReply>([this](int, const w::BackboneReply& m) {
-      count_ += m.count;
-      incomplete_ += m.incomplete;
-      --pending_;
-      CheckDone();
-    });
-    OnMsg<w::Descend>([this](int from, const w::Descend& m) {
-      OnDescend(from, m.budget.has_value() ? DecodeBudget(*m.budget) : 0.0);
-    });
-    OnMsg<w::DescendInclude>([this](int from, const w::DescendInclude&) {
-      w::DescendReply reply;
-      reply.count = MTreePopulation();
-      reply.incomplete = 0;
-      Send(from, reply);
-    });
-    OnMsg<w::DescendReply>([this](int, const w::DescendReply& m) {
-      count_ += m.count;
-      incomplete_ += m.incomplete;
-      --pending_;
-      CheckDone();
-    });
-    OnMsg<w::Answer>([this](int, const w::Answer& m) {
-      if (id() == ctx_->initiator) {
-        ctx_->done = true;
-        ctx_->answer = m.count;
-        ctx_->answer_incomplete = m.incomplete;
-        ctx_->finish_time = network()->Now();
-        TracePhase("query.answer", ctx_->answer);
-      } else {
-        // The initiator's root relays the answer down to the initiator.
-        SendRouted(ctx_->initiator, m);
-      }
-    });
   }
 
   /// Injects the query at the initiator (driver call, before Run()).
@@ -175,6 +115,31 @@ class QueryNode : public proto::ProtocolNode {
   }
 
  protected:
+  bool Dispatch(int from, const Message& msg) override {
+    switch (msg.type) {
+      case w::Up::kType:
+        return Deliver(from, msg, &QueryNode::OnUp);
+      case w::ToBackboneRoot::kType:
+        return Deliver(from, msg, &QueryNode::OnToBackboneRoot);
+      case w::Visit::kType:
+        return Deliver(from, msg, &QueryNode::OnVisit);
+      case w::BackboneInclude::kType:
+        return Deliver(from, msg, &QueryNode::OnBackboneInclude);
+      case w::BackboneReply::kType:
+        return Deliver(from, msg, &QueryNode::OnBackboneReply);
+      case w::Descend::kType:
+        return Deliver(from, msg, &QueryNode::OnDescend);
+      case w::DescendInclude::kType:
+        return Deliver(from, msg, &QueryNode::OnDescendInclude);
+      case w::DescendReply::kType:
+        return Deliver(from, msg, &QueryNode::OnDescendReply);
+      case w::Answer::kType:
+        return Deliver(from, msg, &QueryNode::OnAnswer);
+      default:
+        return false;
+    }
+  }
+
   void OnProtocolTimer(int timer_id) override {
     ELINK_CHECK(timer_id == kDeadlineTimer);
     // Deadline reached with replies still outstanding: write the missing
@@ -188,6 +153,85 @@ class QueryNode : public proto::ProtocolNode {
   }
 
  private:
+  // -- Handlers, one per message type (see Dispatch). ----------------------
+
+  void OnUp(int, const w::Up& m) {
+    if (id() == state_->cluster_root) {
+      ArrivedAtOwnRoot();
+    } else {
+      Send(state_->tree_parent, m);
+    }
+  }
+
+  void OnToBackboneRoot(int, const w::ToBackboneRoot&) {
+    if (state_->is_backbone_root) {
+      StartVisit(/*reply_to=*/-1, ctx_->node_deadline);
+    } else {
+      ForwardToBackboneRoot();
+    }
+  }
+
+  void OnVisit(int, const w::Visit& m) {
+    // Routed messages deliver with `from` = the last relay hop; the logical
+    // sender rides in the schema (and its deadline budget when deadlines
+    // are configured).
+    StartVisit(/*reply_to=*/static_cast<int>(m.sender),
+               m.budget.has_value() ? DecodeBudget(*m.budget) : 0.0);
+  }
+
+  void OnBackboneInclude(int, const w::BackboneInclude& m) {
+    // Whole backbone subtree matches; answer with the cached population.
+    w::BackboneReply reply;
+    reply.count = SubtreePopulation();
+    reply.incomplete = 0;
+    SendRouted(static_cast<int>(m.sender), reply);
+  }
+
+  void OnBackboneReply(int, const w::BackboneReply& m) {
+    count_ += m.count;
+    incomplete_ += m.incomplete;
+    --pending_;
+    CheckDone();
+  }
+
+  void OnDescend(int from, const w::Descend& m) {
+    descent_parent_ = from;
+    active_ = true;
+    count_ = 0;
+    pending_ = 0;
+    incomplete_ = 0;
+    ArmDeadline(m.budget.has_value() ? DecodeBudget(*m.budget) : 0.0);
+    DescendBody();
+    CheckDone();
+  }
+
+  void OnDescendInclude(int from, const w::DescendInclude&) {
+    w::DescendReply reply;
+    reply.count = MTreePopulation();
+    reply.incomplete = 0;
+    Send(from, reply);
+  }
+
+  void OnDescendReply(int, const w::DescendReply& m) {
+    count_ += m.count;
+    incomplete_ += m.incomplete;
+    --pending_;
+    CheckDone();
+  }
+
+  void OnAnswer(int, const w::Answer& m) {
+    if (id() == ctx_->initiator) {
+      ctx_->done = true;
+      ctx_->answer = m.count;
+      ctx_->answer_incomplete = m.incomplete;
+      ctx_->finish_time = network()->Now();
+      TracePhase("query.answer", ctx_->answer);
+    } else {
+      // The initiator's root relays the answer down to the initiator.
+      SendRouted(ctx_->initiator, m);
+    }
+  }
+
   double Dist(const Feature& a, const Feature& b) const {
     return ctx_->metric->Distance(a, b);
   }
@@ -325,17 +369,6 @@ class QueryNode : public proto::ProtocolNode {
 
   void StartLocalDescent() { DescendBody(); }
 
-  void OnDescend(int from, double budget) {
-    descent_parent_ = from;
-    active_ = true;
-    count_ = 0;
-    pending_ = 0;
-    incomplete_ = 0;
-    ArmDeadline(budget);
-    DescendBody();
-    CheckDone();
-  }
-
   /// All outstanding replies arrived: report upward.
   void CheckDone() {
     if (!active_ || pending_ > 0) return;
@@ -410,7 +443,9 @@ DistributedRangeQuery::DistributedRangeQuery(
       metric_(std::move(metric)),
       options_(std::move(options)),
       states_(topology.num_nodes()),
-      route_memo_(topology.num_nodes()) {
+      own_memo_(topology.num_nodes()),
+      memo_(options_.route_memo != nullptr ? options_.route_memo
+                                           : &own_memo_) {
   // Upper-level summaries, children before parents (leaders would learn
   // these during backbone construction).
   const int n = topology.num_nodes();
@@ -456,6 +491,16 @@ DistributedRangeQuery::DistributedRangeQuery(
 
 DistributedRangeQuery::~DistributedRangeQuery() = default;
 
+std::unique_ptr<proto::ProtocolNode> NewRangeQueryDispatchProbe(
+    proto::BadMessageFn on_bad) {
+  // Only the node's constructor reads these: no frame the probe may receive
+  // reaches a handler.
+  static const NodeState kIdleState{};
+  static QueryContext idle_ctx;
+  return std::make_unique<proto::DispatchProbe<QueryNode>>(
+      std::move(on_bad), &kIdleState, &idle_ctx);
+}
+
 Result<DistributedQueryOutcome> DistributedRangeQuery::Run(int initiator,
                                                            const Feature& q,
                                                            double r) {
@@ -480,7 +525,7 @@ Result<DistributedQueryOutcome> DistributedRangeQuery::Run(int initiator,
   hopt.net.seed = options_.seed;
   hopt.net.fault = options_.fault;
   hopt.net.churn = options_.churn;
-  hopt.net.route_memo = &route_memo_;
+  hopt.net.route_memo = memo_;
   // Keeps the clock honest when the query dies en route: the initiator
   // gives up at this time, which is what the reported latency shows.
   hopt.run_horizon = options_.query_deadline;

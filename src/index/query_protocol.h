@@ -24,6 +24,7 @@
 #include "index/backbone.h"
 #include "index/mtree.h"
 #include "metric/distance.h"
+#include "proto/node.h"
 #include "sim/network.h"
 #include "sim/reliable.h"
 
@@ -89,6 +90,10 @@ class DistributedRangeQuery {
     /// Read-only observer (telemetry/tracer) bound to every Run's network.
     /// Not owned; attaching never changes the query's outcome.
     SimObserver* observer = nullptr;
+    /// Route memo lent to every Run's network instead of the object's own
+    /// (see Network::Config::route_memo): borrowed, it must outlive the
+    /// object and cover the same topology.  Null uses the object's own memo.
+    RouteMemo* route_memo = nullptr;
   };
 
   /// `clustering`, `index`, and `backbone` describe the clustered network;
@@ -110,6 +115,11 @@ class DistributedRangeQuery {
                         std::shared_ptr<const DistanceMetric> metric,
                         bool synchronous = true, uint64_t seed = 1);
 
+  // Runs install nodes that point into states_ and lend them memo_, which
+  // may point at own_memo_; a copy would share both with the original.
+  DistributedRangeQuery(const DistributedRangeQuery&) = delete;
+  DistributedRangeQuery& operator=(const DistributedRangeQuery&) = delete;
+
   /// Runs one query to completion.  Under fault injection with deadlines
   /// configured the outcome may be flagged partial (`complete == false`)
   /// instead of an error; returns Internal only for genuine protocol bugs
@@ -119,8 +129,9 @@ class DistributedRangeQuery {
 
   ~DistributedRangeQuery();
 
-  /// Routes every Run has memoized so far over the shared topology.
-  const RouteMemo& route_memo() const { return route_memo_; }
+  /// Routes every Run has memoized so far over the shared topology (the
+  /// lent memo when the options carry one).
+  const RouteMemo& route_memo() const { return *memo_; }
 
   /// One node's slice of the index state (defined in query_protocol.cc).
   struct NodeState;
@@ -132,10 +143,19 @@ class DistributedRangeQuery {
   // What Section 7 says each node holds, built once at construction; every
   // Run installs nodes that point into it.
   std::vector<NodeState> states_;
-  // Lent to every Run's Network: backbone links are fixed for the object's
-  // lifetime, so a route found by one query serves all later ones.
-  RouteMemo route_memo_;
+  // Lent to every Run's Network: the topology is fixed for the object's
+  // lifetime, so a route found by one query serves all later ones.  `memo_`
+  // is options_.route_memo, else &own_memo_.
+  RouteMemo own_memo_;
+  RouteMemo* memo_;
 };
+
+/// A range-query protocol node over empty per-node state whose rejected
+/// frames go to `on_bad` (see proto::DispatchProbe), for tests of the node
+/// class's dispatch.  Deliver it only frames that Dispatch must reject: its
+/// handlers have no deployment to act on.
+std::unique_ptr<proto::ProtocolNode> NewRangeQueryDispatchProbe(
+    proto::BadMessageFn on_bad);
 
 }  // namespace elink
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 namespace elink {
 
@@ -17,7 +18,8 @@ RangeQueryEngine::RangeQueryEngine(const Clustering& clustering,
       metric_(metric),
       delta_(delta),
       feature_dim_(features.empty() ? 0
-                                    : static_cast<int>(features[0].size())) {
+                                    : static_cast<int>(features[0].size())),
+      backbone_members_(backbone, index) {
   // Upper level of the hierarchical index (Section 7.1): every leader
   // maintains a covering radius over its *backbone subtree* — its own
   // cluster plus all clusters below it in the backbone tree — aggregated
@@ -25,17 +27,12 @@ RangeQueryEngine::RangeQueryEngine(const Clustering& clustering,
   // then prunes whole backbone subtrees without visiting them.
   for (int leader : backbone_.leaders_bottom_up()) {
     double radius = index_.root_ball_radius(leader);
-    std::vector<int> members = index_.subtree(leader);
     for (int child : backbone_.tree_children(leader)) {
       radius = std::max(
           radius, metric_.Distance(features_[leader], features_[child]) +
                       backbone_radius_.at(child));
-      const auto& sub = backbone_members_.at(child);
-      members.insert(members.end(), sub.begin(), sub.end());
     }
     backbone_radius_[leader] = radius;
-    std::sort(members.begin(), members.end());
-    backbone_members_[leader] = std::move(members);
   }
 }
 
@@ -111,7 +108,7 @@ void RangeQueryEngine::VisitBackbone(int leader, const Feature& q, double r,
     }
     if (d_child <= r - child_radius + 1e-12) {
       // Entire backbone subtree matches; one aggregate exchange.
-      const auto& all = backbone_members_.at(child);
+      const std::span<const int> all = backbone_members_.of(child);
       result->matches.insert(result->matches.end(), all.begin(), all.end());
       const int hops = backbone_.parent_hops(child);
       for (int h = 0; h < hops; ++h) {

@@ -73,8 +73,8 @@ class RangeQueryEngine {
   int feature_dim_;
   /// Upper-level covering radius per leader over its backbone subtree.
   std::map<int, double> backbone_radius_;
-  /// All member nodes of each leader's backbone subtree, ascending.
-  std::map<int, std::vector<int>> backbone_members_;
+  /// All member nodes of each leader's backbone subtree.
+  BackboneMembers backbone_members_;
 };
 
 }  // namespace elink

@@ -18,7 +18,12 @@ void ProtocolNode::HandleMessage(int from, const Message& msg) {
   if (activity_ != nullptr) ++*activity_;
   if (trace_ != nullptr && *trace_) (*trace_)(network()->Now(), from, id(), msg);
   if (channel_.attached() && channel_.OnMessage(from, msg)) return;
-  DispatchMessage(from, msg);
+  if (!Dispatch(from, msg)) {
+    // No handler for this type: a corrupted or foreign frame.
+    RejectFrame(from, msg,
+                Status::InvalidArgument("no handler for message type " +
+                                        std::to_string(msg.type)));
+  }
 }
 
 void ProtocolNode::HandleTimer(int timer_id) {
@@ -49,17 +54,10 @@ void ProtocolNode::OnInstall() {
   OnReady();
 }
 
-void ProtocolNode::DispatchMessage(int from, const Message& msg) {
-  if (msg.type >= 0 && msg.type < static_cast<int>(handlers_.size()) &&
-      handlers_[static_cast<size_t>(msg.type)]) {
-    handlers_[static_cast<size_t>(msg.type)](from, msg);
-    return;
-  }
-  // No handler registered for this type: a corrupted or foreign frame.
+void ProtocolNode::RejectFrame(int from, const Message& msg,
+                               const Status& error) {
   network()->NoteDecodeError(id(), msg.category);
-  OnBadMessage(from, msg,
-               Status::InvalidArgument("no handler for message type " +
-                                       std::to_string(msg.type)));
+  OnBadMessage(from, msg, error);
 }
 
 }  // namespace proto

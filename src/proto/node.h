@@ -3,10 +3,12 @@
 // ProtocolNode extends sim's Node with the plumbing every protocol in this
 // repo used to hand-roll:
 //
-//  * typed handler registration — OnMsg<Schema>(handler) binds a decoder and
-//    a handler to the schema's message type; incoming frames are
-//    bounds-checked by proto::Decode before the handler runs, and malformed
-//    ones are counted in MessageStats::decode_errors instead of crashing;
+//  * typed dispatch — each node class overrides Dispatch once, a switch on
+//    the message type whose cases call Deliver(from, msg, &Class::OnX);
+//    Deliver bounds-checks the frame with proto::Decode before the handler
+//    runs, and malformed or unhandled frames are counted in
+//    MessageStats::decode_errors and go to OnBadMessage instead.  The
+//    dispatch is code of the class: a node holds no handler state;
 //  * optional ReliableChannel integration — EnableReliable() attaches the
 //    ack/retransmit channel at install time and interposes it on every
 //    incoming message and timer, exactly as the hand-written protocols did;
@@ -15,8 +17,8 @@
 //  * harness hooks — RunHarness binds an activity counter (for quiet-period
 //    completion detection) and a per-message trace callback.
 //
-// Subclasses register handlers in their constructor and override the
-// OnReady / OnProtocolTimer / OnGiveUp / OnBadMessage virtuals as needed.
+// Subclasses define Dispatch and override the OnReady / OnProtocolTimer /
+// OnGiveUp / OnBadMessage virtuals as needed.
 #ifndef ELINK_PROTO_NODE_H_
 #define ELINK_PROTO_NODE_H_
 
@@ -39,11 +41,15 @@ using TraceFn =
 
 class RunHarness;
 
+/// What a DispatchProbe's OnBadMessage receives.
+using BadMessageFn =
+    std::function<void(int from, const Message& msg, const Status& error)>;
+
 /// \brief Base class for protocol logic built on the proto runtime.
 class ProtocolNode : public Node {
  public:
   // The runtime owns the sim entry points; protocol code plugs in through
-  // OnMsg registration and the virtuals below.
+  // Dispatch and the virtuals below.
   void HandleMessage(int from, const Message& msg) final;
   void HandleTimer(int timer_id) final;
   void OnInstall() final;
@@ -98,27 +104,39 @@ class ProtocolNode : public Node {
     (void)error;
   }
 
-  /// Registers `handler` for schema M's message type.  Call from the
-  /// subclass constructor.  The handler receives the decoded schema;
-  /// malformed frames never reach it.
-  template <typename M, typename F>
-  void OnMsg(F handler) {
-    const int type = M::kType;
-    ELINK_CHECK(type >= 0);
-    if (static_cast<int>(handlers_.size()) <= type) {
-      handlers_.resize(static_cast<size_t>(type) + 1);
+  /// Routes a delivered frame to the class's handler for its type:
+  ///
+  ///   bool Dispatch(int from, const Message& msg) override {
+  ///     switch (msg.type) {
+  ///       case w::Up::kType: return Deliver(from, msg, &QueryNode::OnUp);
+  ///       ...
+  ///       default: return false;
+  ///     }
+  ///   }
+  ///
+  /// Returns false when the class handles no message of `msg.type`; the
+  /// runtime then counts the frame as a decode error and passes it to
+  /// OnBadMessage.  The default handles no message at all.
+  virtual bool Dispatch(int from, const Message& msg) {
+    (void)from;
+    (void)msg;
+    return false;
+  }
+
+  /// Decodes `msg` as schema M and calls `handler` (a member of the node
+  /// class) with it.  A frame that fails to decode is counted as a decode
+  /// error and goes to OnBadMessage; it never reaches the handler.  Returns
+  /// true (the type is handled either way) so Dispatch cases can return it.
+  template <typename N, typename M>
+  bool Deliver(int from, const Message& msg,
+               void (N::*handler)(int, const M&)) {
+    Result<M> decoded = Decode<M>(msg);
+    if (!decoded.ok()) {
+      RejectFrame(from, msg, decoded.status());
+    } else {
+      (static_cast<N*>(this)->*handler)(from, *decoded);
     }
-    ELINK_CHECK(!handlers_[static_cast<size_t>(type)]);
-    handlers_[static_cast<size_t>(type)] =
-        [this, handler = std::move(handler)](int from, const Message& msg) {
-          Result<M> decoded = Decode<M>(msg);
-          if (!decoded.ok()) {
-            network()->NoteDecodeError(id(), msg.category);
-            OnBadMessage(from, msg, decoded.status());
-            return;
-          }
-          handler(from, *decoded);
-        };
+    return true;
   }
 
   /// Counts a delivered frame whose decoded fields fail protocol-level
@@ -186,15 +204,37 @@ class ProtocolNode : public Node {
     trace_ = trace;
   }
 
-  void DispatchMessage(int from, const Message& msg);
+  /// Counts a frame no handler may see and passes it to OnBadMessage.
+  void RejectFrame(int from, const Message& msg, const Status& error);
 
-  std::vector<std::function<void(int, const Message&)>> handlers_;
   ReliableChannel channel_;
   ReliableChannel::Config channel_config_;
   bool reliable_enabled_ = false;
   // Harness bindings; null when the node runs outside a RunHarness.
   uint64_t* activity_ = nullptr;
   const TraceFn* trace_ = nullptr;
+};
+
+/// \brief Node class `N` whose OnBadMessage reports to a callback.
+///
+/// Lets a test deliver frames to a protocol's own node class and see which
+/// ones its Dispatch rejects.  Each protocol module that keeps its node
+/// class private offers a factory for one.
+template <class N>
+class DispatchProbe final : public N {
+ public:
+  template <class... Args>
+  explicit DispatchProbe(BadMessageFn on_bad, Args&&... args)
+      : N(std::forward<Args>(args)...), on_bad_(std::move(on_bad)) {}
+
+ protected:
+  void OnBadMessage(int from, const Message& msg,
+                    const Status& error) override {
+    on_bad_(from, msg, error);
+  }
+
+ private:
+  BadMessageFn on_bad_;
 };
 
 }  // namespace proto

@@ -46,6 +46,14 @@ class RouteMemo {
   /// Stored (relay, destination) entries.
   size_t size() const { return size_; }
 
+  /// Drops every entry and frees the table, for an owner that bounds the
+  /// memo's size; later routed sends store their routes again.  Must not run
+  /// during a Network::Run that reads the memo.
+  void Clear() {
+    slots_ = {};
+    size_ = 0;
+  }
+
  private:
   friend class Network;
   struct Hop {

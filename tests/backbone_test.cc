@@ -23,6 +23,7 @@
 #include "cluster/elink.h"
 #include "common/rng.h"
 #include "index/backbone.h"
+#include "index/mtree.h"
 #include "metric/distance.h"
 #include "sim/graph.h"
 #include "sim/stats.h"
@@ -276,6 +277,85 @@ TEST(BackboneEquivalenceTest, MatchesReferenceOnRandomDiskGraphs) {
     }
   }
   EXPECT_GT(multi_leader_cases, 500);
+}
+
+/// Every leader's backbone-subtree member list built the direct way, as the
+/// query engines once did: children before parents, each leader copying its
+/// own cluster and then every child's finished list.
+std::map<int, std::vector<int>> ReferenceBackboneMembers(
+    const Backbone& backbone, const ClusterIndex& index) {
+  std::map<int, std::vector<int>> members;
+  for (int leader : backbone.leaders_bottom_up()) {
+    std::vector<int> list = index.subtree(leader);
+    for (int child : backbone.tree_children(leader)) {
+      const std::vector<int>& sub = members.at(child);
+      list.insert(list.end(), sub.begin(), sub.end());
+    }
+    members[leader] = std::move(list);
+  }
+  return members;
+}
+
+TEST(BackboneMembersTest, MatchesPerLeaderListsOnRandomDiskGraphs) {
+  Rng rng(4242);
+  const WeightedEuclidean metric = WeightedEuclidean::Euclidean(1);
+  int deep_cases = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = 20 + static_cast<int>(rng.UniformInt(581));
+    const double side = std::sqrt(n / 2.0);
+    Result<Topology> topo = MakeRandomTopology(n, side, 1.2, &rng);
+    ASSERT_TRUE(topo.ok());
+    const Topology& t = topo.value();
+    const double fx = rng.Uniform(0.5, 3.0), fy = rng.Uniform(0.5, 3.0);
+    std::vector<Feature> features(n);
+    for (int i = 0; i < n; ++i) {
+      const double x = t.positions[i].x / side, y = t.positions[i].y / side;
+      features[i] = {std::sin(fx * x) + std::cos(fy * y) +
+                     0.2 * rng.Uniform01()};
+    }
+    ElinkConfig cfg;
+    cfg.delta = rng.Uniform(0.1, 1.0);
+    cfg.seed = trial + 1;
+    Result<ElinkResult> elink =
+        RunElink(t, features, metric, cfg, ElinkMode::kImplicit);
+    ASSERT_TRUE(elink.ok()) << elink.status().ToString();
+    const Clustering clusterings[] = {
+        elink.value().clustering, RandomConnectedPartition(t.adjacency, &rng)};
+    for (const Clustering& clustering : clusterings) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " n=" +
+                   std::to_string(n));
+      const ClusterIndex index = ClusterIndex::Build(
+          clustering, BuildClusterTrees(clustering, t.adjacency), features,
+          metric);
+      for (bool prim : {true, false}) {
+        const Backbone backbone =
+            prim ? Backbone::Build(clustering, t.adjacency, nullptr,
+                                   &features, &metric)
+                 : Backbone::Build(clustering, t.adjacency);
+        const BackboneMembers got(backbone, index);
+        const std::map<int, std::vector<int>> want =
+            ReferenceBackboneMembers(backbone, index);
+        for (const auto& [leader, list] : want) {
+          std::vector<int> got_sorted(got.of(leader).begin(),
+                                      got.of(leader).end());
+          std::vector<int> want_sorted = list;
+          std::sort(got_sorted.begin(), got_sorted.end());
+          std::sort(want_sorted.begin(), want_sorted.end());
+          EXPECT_EQ(got_sorted, want_sorted) << "leader " << leader;
+        }
+        // The root's span is every node exactly once.
+        EXPECT_EQ(got.of(backbone.tree_root()).size(),
+                  static_cast<size_t>(n));
+        size_t total = 0;
+        for (const auto& [leader, list] : want) total += list.size();
+        if (total > 3 * static_cast<size_t>(n)) ++deep_cases;
+        if (HasFailure()) return;
+      }
+    }
+  }
+  // Backbones deep enough that the per-leader lists copied each node
+  // several times over.
+  EXPECT_GT(deep_cases, 20);
 }
 
 }  // namespace

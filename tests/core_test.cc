@@ -143,6 +143,118 @@ TEST(ClusteredNetworkTest, DistributedQueriesMatchEngines) {
   }
 }
 
+/// Per-category units, sends and bytes of two ledgers agree.
+void ExpectSameLedger(const MessageStats& got, const MessageStats& want) {
+  const std::vector<MessageStats::CategorySnapshot> g = got.Snapshot();
+  const std::vector<MessageStats::CategorySnapshot> w = want.Snapshot();
+  ASSERT_EQ(g.size(), w.size());
+  for (size_t k = 0; k < g.size(); ++k) {
+    EXPECT_EQ(g[k].category, w[k].category);
+    EXPECT_EQ(g[k].units, w[k].units) << g[k].category;
+    EXPECT_EQ(g[k].sends, w[k].sends) << g[k].category;
+    EXPECT_EQ(g[k].bytes, w[k].bytes) << g[k].category;
+  }
+}
+
+// The facade lends one route memo to the distributed protocols of every
+// index version.  Routes depend on the topology alone, so answers over a
+// memo warmed by earlier versions must equal those of protocol objects
+// built fresh, with cold memos of their own.  The shared memo stays a
+// linear resource however many versions it serves: past 4 entries per node
+// it starts over, and answers after that match too.
+TEST(ClusteredNetworkTest, FacadeRouteMemoServesEveryIndexVersion) {
+  SyntheticConfig scfg;
+  scfg.num_nodes = 120;
+  scfg.seed = 17;
+  const SensorDataset synthetic =
+      std::move(MakeSyntheticDataset(scfg)).value();
+  const SensorDataset terrain = TerrainDs();
+  struct Case {
+    const SensorDataset* ds;
+    ElinkMode mode;
+    bool synchronous;
+  };
+  for (const Case& c : {Case{&terrain, ElinkMode::kImplicit, true},
+                        Case{&synthetic, ElinkMode::kExplicit, false}}) {
+    const SensorDataset& ds = *c.ds;
+    const int n = ds.topology.num_nodes();
+    SCOPED_TRACE("n=" + std::to_string(n));
+    ClusteredSensorNetwork::Options opts = DefaultOptions(ds);
+    opts.mode = c.mode;
+    opts.synchronous = c.synchronous;
+    auto net_r = ClusteredSensorNetwork::Build(ds, opts);
+    ASSERT_TRUE(net_r.ok()) << net_r.status().ToString();
+    auto& net = *net_r.value();
+    const double scale = FeatureDiameter(ds);
+    Rng rng(29);
+    std::vector<Feature> current = ds.features;
+    const size_t bound =
+        ClusteredSensorNetwork::kRouteMemoEntriesPerNode *
+        static_cast<size_t>(n);
+    size_t last_entries = 0;
+    int rounds_after_clear = -1;  // Counts rounds once the memo restarted.
+    for (int round = 0; round < 60 && rounds_after_clear < 2; ++round) {
+      for (int i = 0; i < n; ++i) {
+        current[i][0] += rng.Normal(0.0, 0.02 * scale);
+        net.UpdateFeature(i, current[i]);
+      }
+      // A fresh index version, and protocol objects with cold memos over it.
+      std::vector<Feature> features(n);
+      for (int i = 0; i < n; ++i) features[i] = net.feature(i);
+      DistributedRangeQuery::ProtocolOptions qopt;
+      qopt.synchronous = opts.synchronous;
+      qopt.seed = opts.seed;
+      DistributedRangeQuery fresh_range(
+          net.topology(), net.clustering(), net.cluster_index(),
+          net.backbone(), features, net.metric(), qopt);
+      PathProtocolOptions popt;
+      popt.synchronous = opts.synchronous;
+      popt.seed = opts.seed;
+      DistributedPathQuery fresh_path(net.topology(), net.clustering(),
+                                      net.cluster_index(), net.backbone(),
+                                      features, net.metric(), popt);
+      for (int k = 0; k < 6; ++k) {
+        SCOPED_TRACE("round " + std::to_string(round) + " query " +
+                     std::to_string(k));
+        const int a = static_cast<int>(rng.UniformInt(n));
+        const int b = static_cast<int>(rng.UniformInt(n));
+        const Feature q = features[rng.UniformInt(n)];
+        const double r = rng.Uniform(0.05, 0.3) * scale;
+        auto got_range = net.RangeQueryDistributed(a, q, r);
+        auto want_range = fresh_range.Run(a, q, r);
+        ASSERT_TRUE(got_range.ok()) << got_range.status().ToString();
+        ASSERT_TRUE(want_range.ok()) << want_range.status().ToString();
+        EXPECT_EQ(got_range.value().match_count,
+                  want_range.value().match_count);
+        EXPECT_EQ(got_range.value().latency, want_range.value().latency);
+        ExpectSameLedger(got_range.value().stats, want_range.value().stats);
+
+        const double gamma = rng.Uniform(0.05, 0.3) * scale;
+        auto got_path = net.SafePathDistributed(a, b, q, gamma);
+        auto want_path = fresh_path.Run(a, b, q, gamma);
+        ASSERT_TRUE(got_path.ok()) << got_path.status().ToString();
+        ASSERT_TRUE(want_path.ok()) << want_path.status().ToString();
+        EXPECT_EQ(got_path.value().found, want_path.value().found);
+        EXPECT_EQ(got_path.value().path, want_path.value().path);
+        ExpectSameLedger(got_path.value().stats, want_path.value().stats);
+
+        const size_t entries = net.route_memo_entries();
+        EXPECT_LE(entries, bound);
+        if (entries < last_entries && rounds_after_clear < 0) {
+          rounds_after_clear = 0;
+        }
+        last_entries = entries;
+      }
+      // The memo was lent, not copied: the fresh objects routed with their
+      // own memos, the facade's kept what earlier versions stored.
+      EXPECT_GT(fresh_range.route_memo().size(), 0u);
+      if (rounds_after_clear >= 0) ++rounds_after_clear;
+      if (HasFailure()) return;
+    }
+    EXPECT_EQ(rounds_after_clear, 2) << "the memo never reached its bound";
+  }
+}
+
 TEST(ClusteredNetworkTest, LedgerAccumulatesAcrossPhases) {
   const SensorDataset ds = TerrainDs();
   auto net_r = ClusteredSensorNetwork::Build(ds, DefaultOptions(ds));

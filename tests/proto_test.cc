@@ -808,16 +808,18 @@ class TracePingNode : public proto::ProtocolNode {
  public:
   explicit TracePingNode(const ReliableChannel::Config& rel) {
     EnableReliable(rel);
-    OnMsg<tracewire::Ping>([this](int from, const tracewire::Ping& m) {
-      if (m.ttl > 0) {
-        tracewire::Ping reply;
-        reply.ttl = m.ttl - 1;
-        Send(from, reply);
-      }
-    });
   }
 
  protected:
+  bool Dispatch(int from, const Message& msg) override {
+    switch (msg.type) {
+      case tracewire::Ping::kType:
+        return Deliver(from, msg, &TracePingNode::OnPing);
+      default:
+        return false;
+    }
+  }
+
   // The initial pings go out on a time-0 timer rather than from OnReady:
   // during install the neighbors are not all in place yet.
   void OnReady() override { network()->SetTimer(id(), 0.0, /*timer_id=*/1); }
@@ -827,6 +829,15 @@ class TracePingNode : public proto::ProtocolNode {
     tracewire::Ping m;
     m.ttl = 2;
     for (int nb : network()->neighbors(id())) Send(nb, m);
+  }
+
+ private:
+  void OnPing(int from, const tracewire::Ping& m) {
+    if (m.ttl > 0) {
+      tracewire::Ping reply;
+      reply.ttl = m.ttl - 1;
+      Send(from, reply);
+    }
   }
 };
 
