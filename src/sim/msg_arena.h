@@ -1,15 +1,9 @@
 // Slab arena for in-flight message payloads.
 //
-// Every Network transmission used to park its payload either inside a
-// heap-allocated delivery closure (unicast: the captured Message pushed the
-// closure past the event queue's inline buffer) or behind a
-// shared_ptr<const Message> control block (broadcast fan-out).  That is one
-// or two heap round-trips per send on the hottest path in the simulator.
-//
-// MessageArena replaces both: payloads are placement-constructed into
-// bump-pointer slabs and handed around as raw Slot pointers with an
-// intrusive reference count — one count per scheduled delivery, exactly the
-// shared-immutable-payload semantics Broadcast already promised.  The last
+// Every Network transmission parks its payload here: payloads are
+// placement-constructed into bump-pointer slabs and handed around as raw
+// Slot pointers with an intrusive reference count — one count per scheduled
+// delivery, so a broadcast fan-out shares one immutable payload.  The last
 // delivery (or drop) of a payload destroys it; a slab whose payloads are all
 // dead is recycled wholesale (epoch-style: no per-slot free list, the bump
 // pointer simply rewinds when the slab's live count reaches zero).  In the

@@ -9,8 +9,6 @@
 
 namespace elink {
 
-bool Network::default_arena_messages_ = true;
-
 namespace {
 
 // The armed-checkpoint slot lives behind this out-of-line accessor: a
@@ -164,83 +162,101 @@ double Network::NextHopDelay() {
   return rng_.Uniform(config_.async_delay_min, config_.async_delay_max);
 }
 
-void Network::MaybeTruncate(Message* msg) {
+// OnAir and Transmit run once per fan-out leg or routed hop, the
+// simulator's hottest path.  Left to GCC's -O2 inliner both stay out of
+// line, which costs perf_simcore's broadcast storm ~5% of its sends/sec, so
+// they are forced inline.
+[[gnu::always_inline]] MessageArena::Slot* Network::OnAir(
+    MessageArena::Slot* payload) {
   size_t keep_ints = 0, keep_doubles = 0;
-  if (fault_.truncates() &&
-      fault_.TruncatePayload(msg->ints.size(), msg->doubles.size(), &keep_ints,
-                             &keep_doubles)) {
-    msg->ints.resize(keep_ints);
-    msg->doubles.resize(keep_doubles);
+  if (!fault_.truncates() ||
+      !fault_.TruncatePayload(payload->msg.ints.size(),
+                              payload->msg.doubles.size(), &keep_ints,
+                              &keep_doubles)) {
+    return payload;
   }
+  // The truncated copy is still the same logical transmission, so it keeps
+  // the payload's message id: the (id, to) pair stays unique across legs.
+  MessageArena::Slot* chopped = arena_.Create(Message(payload->msg));
+  chopped->msg.ints.resize(keep_ints);
+  chopped->msg.doubles.resize(keep_doubles);
+  chopped->msg_id = payload->msg_id;
+  return chopped;
+}
+
+[[gnu::always_inline]] bool Network::Transmit(int from, int to, double sent,
+                                              double arrives,
+                                              const Message& msg,
+                                              uint64_t bytes, uint64_t msg_id,
+                                              uint64_t cause) {
+  // Every loss is decided when the frame leaves (the receiver's crash state
+  // at its arrival instant), so runs stay deterministic and a drop is
+  // charged exactly once.  The fault decision always comes first: churn is
+  // schedule-only and draws nothing, so adding it cannot perturb the fault
+  // RNG stream.
+  const bool fault_drop =
+      fault_.enabled() && (fault_.IsCrashed(from, sent) ||
+                           fault_.DropTransmission(from, to, sent) ||
+                           fault_.IsCrashed(to, arrives));
+  // Under churn a protocol may legitimately address a link that no longer
+  // (or does not yet) exist; that transmission is lost here, not a bug.
+  const bool churn_drop =
+      churn_.enabled() &&
+      (churn_.IsAbsent(from, sent) || churn_.IsAbsent(to, arrives) ||
+       !HasLiveEdge(from, to));
+  const bool lost = fault_drop || churn_drop;
+  if (lost) {
+    if (churn_drop) ++churn_drops_;
+    stats_.RecordDropped(msg.category, msg.CostUnits(), bytes);
+  } else {
+    stats_.Record(msg.category, msg.CostUnits(), bytes);
+  }
+  if (observer_ != nullptr) {
+    observer_->OnCausal({0, msg_id, cause});
+    if (lost) observer_->OnDrop(sent, from, to, msg);
+  }
+  return !lost;
+}
+
+void Network::FanOut(int from, std::span<const int> to, Message&& msg) {
+  MessageArena::Slot* shared = arena_.Create(std::move(msg));
+  if (observer_ != nullptr) shared->msg_id = NewCauseId();
+  for (int nb : to) {
+    ELINK_CHECK(topology_.HasEdge(from, nb) ||
+                (churn_.enabled() && HasLiveEdge(from, nb)));
+    ELINK_CHECK(nodes_[nb] != nullptr);
+    // Draw order per leg: delay, then truncation (the chopped frame is what
+    // is on the air, so a drop charges its length), then loss.
+    const double delay = NextHopDelay();
+    MessageArena::Slot* frame = OnAir(shared);
+    if (!Transmit(from, nb, Now(), Now() + delay, frame->msg,
+                  FrameBytes(frame->msg), frame->msg_id,
+                  queue_.active_cause())) {
+      // A lost leg schedules nothing and so takes no reference on `shared`.
+      if (frame != shared) arena_.Release(frame);
+      continue;
+    }
+    if (observer_ != nullptr) {
+      observer_->OnSend(Now(), from, nb, frame->msg, delay);
+    }
+    // Each scheduled delivery owns one reference: an intact leg adds one to
+    // the shared payload, a truncated leg hands over its private copy's.
+    if (frame == shared) MessageArena::AddRef(shared);
+    queue_.ScheduleDeliveryAfter(delay, from, nb, frame);
+  }
+  // Drop the creator's reference; the payload now lives exactly as long as
+  // its last scheduled delivery (or dies here if every leg was lost).
+  arena_.Release(shared);
 }
 
 void Network::Send(int from, int to, Message msg) {
-  // Under churn a protocol may legitimately address a link that no longer
-  // (or does not yet) exist — that transmission is lost below, not a bug.
-  ELINK_CHECK(topology_.HasEdge(from, to) ||
-              (churn_.enabled() && HasLiveEdge(from, to)));
-  ELINK_CHECK(nodes_[to] != nullptr);
-  const double delay = NextHopDelay();
-  // Truncation is decided first (the chopped frame is what is on the air, so
-  // drop charges reflect it), then loss.  Each fault stream draw happens in
-  // the same order here and in SendShared, keeping Broadcast bit-identical
-  // to the N Sends it replaces.
-  if (fault_.enabled()) MaybeTruncate(&msg);
-  // All fault decisions are made at send time (the receiver's crash state is
-  // evaluated at the arrival instant), so runs stay deterministic and the
-  // drop is charged to the ledger exactly once.  The fault decision is
-  // always evaluated first — churn is schedule-only and draws nothing, so
-  // adding it cannot perturb the fault RNG stream.
-  const bool fault_drop =
-      fault_.enabled() && (fault_.IsCrashed(from, Now()) ||
-                           fault_.DropTransmission(from, to, Now()) ||
-                           fault_.IsCrashed(to, Now() + delay));
-  const bool churn_drop =
-      churn_.enabled() &&
-      (churn_.IsAbsent(from, Now()) || churn_.IsAbsent(to, Now() + delay) ||
-       !HasLiveEdge(from, to));
-  if (fault_drop || churn_drop) {
-    if (churn_drop) ++churn_drops_;
-    stats_.RecordDropped(msg.category, msg.CostUnits(), FrameBytes(msg));
-    if (observer_ != nullptr) {
-      observer_->OnCausal({0, NewCauseId(), queue_.active_cause()});
-      observer_->OnDrop(Now(), from, to, msg);
-    }
-    return;
-  }
-  stats_.Record(msg.category, msg.CostUnits(), FrameBytes(msg));
-  uint64_t mid = 0;
-  if (observer_ != nullptr) {
-    mid = NewCauseId();
-    observer_->OnCausal({0, mid, queue_.active_cause()});
-    observer_->OnSend(Now(), from, to, msg, delay);
-  }
-  ScheduleDelivery(delay, from, to, std::move(msg), mid);
+  FanOut(from, {&to, 1}, std::move(msg));
 }
 
-void Network::ScheduleDelivery(double delay, int from, int to, Message&& msg,
-                               uint64_t msg_id) {
-  if (config_.arena_messages) {
-    MessageArena::Slot* slot = arena_.Create(std::move(msg));
-    slot->msg_id = msg_id;
-    queue_.ScheduleDeliveryAfter(delay, from, to, slot);
-  } else {
-    queue_.ScheduleAfter(delay, [this, from, to, msg_id,
-                                 m = std::move(msg)]() {
-      DeliverHeap(from, to, m, msg_id);
-    });
-  }
-}
-
-void Network::DeliverHeap(int from, int to, const Message& msg,
-                          uint64_t msg_id) {
-  if (observer_ != nullptr) {
-    const uint64_t self = NewCauseId();
-    queue_.set_active_cause(self);
-    observer_->OnCausal({self, msg_id, 0});
-    observer_->OnDeliver(Now(), from, to, msg);
-  }
-  nodes_[to]->HandleMessage(from, msg);
+void Network::Broadcast(int from, Message msg) {
+  const std::vector<int>& nbrs = neighbors(from);
+  if (nbrs.empty()) return;
+  FanOut(from, nbrs, std::move(msg));
 }
 
 void Network::OnDeliveryEvent(void* ctx, int from, int to, void* payload) {
@@ -287,144 +303,6 @@ void Network::OnTimerEvent(void* ctx, int node, int timer_id, uint64_t aux) {
     net->observer_->OnTimerFire(now, node, timer_id);
   }
   net->nodes_[node]->HandleTimer(timer_id);
-}
-
-void Network::SendShared(int from, int to,
-                         const std::shared_ptr<const Message>& msg,
-                         uint64_t msg_id) {
-  ELINK_CHECK(topology_.HasEdge(from, to) ||
-              (churn_.enabled() && HasLiveEdge(from, to)));
-  ELINK_CHECK(nodes_[to] != nullptr);
-  // Mirrors Send exactly — same RNG draw order (delay first, then truncate,
-  // then loss), same charging — so a Broadcast is bit-identical to the N
-  // independent Sends it replaces.  A truncated leg falls back to a private
-  // copy of the payload; intact legs keep sharing the immutable message.
-  const double delay = NextHopDelay();
-  Message chopped;
-  const Message* wire = msg.get();
-  size_t keep_ints = 0, keep_doubles = 0;
-  if (fault_.enabled() && fault_.truncates() &&
-      fault_.TruncatePayload(msg->ints.size(), msg->doubles.size(), &keep_ints,
-                             &keep_doubles)) {
-    chopped = *msg;
-    chopped.ints.resize(keep_ints);
-    chopped.doubles.resize(keep_doubles);
-    wire = &chopped;
-  }
-  const bool fault_drop =
-      fault_.enabled() && (fault_.IsCrashed(from, Now()) ||
-                           fault_.DropTransmission(from, to, Now()) ||
-                           fault_.IsCrashed(to, Now() + delay));
-  const bool churn_drop =
-      churn_.enabled() &&
-      (churn_.IsAbsent(from, Now()) || churn_.IsAbsent(to, Now() + delay) ||
-       !HasLiveEdge(from, to));
-  if (fault_drop || churn_drop) {
-    if (churn_drop) ++churn_drops_;
-    stats_.RecordDropped(wire->category, wire->CostUnits(),
-                         FrameBytes(*wire));
-    if (observer_ != nullptr) {
-      observer_->OnCausal({0, msg_id, queue_.active_cause()});
-      observer_->OnDrop(Now(), from, to, *wire);
-    }
-    return;
-  }
-  stats_.Record(wire->category, wire->CostUnits(), FrameBytes(*wire));
-  if (observer_ != nullptr) {
-    observer_->OnCausal({0, msg_id, queue_.active_cause()});
-    observer_->OnSend(Now(), from, to, *wire, delay);
-  }
-  if (wire == &chopped) {
-    queue_.ScheduleAfter(delay, [this, from, to, msg_id,
-                                 m = std::move(chopped)]() {
-      DeliverHeap(from, to, m, msg_id);
-    });
-  } else {
-    queue_.ScheduleAfter(delay, [this, from, to, msg, msg_id]() {
-      DeliverHeap(from, to, *msg, msg_id);
-    });
-  }
-}
-
-void Network::SendSharedArena(int from, int to, MessageArena::Slot* shared) {
-  ELINK_CHECK(topology_.HasEdge(from, to) ||
-              (churn_.enabled() && HasLiveEdge(from, to)));
-  ELINK_CHECK(nodes_[to] != nullptr);
-  // Mirrors Send (and the heap-path SendShared) exactly — same RNG draw
-  // order (delay first, then truncate, then loss), same charging — so a
-  // Broadcast is bit-identical to the N independent Sends it replaces.  A
-  // truncated leg gets a private arena copy of the payload; intact legs
-  // reference the shared slot (one AddRef per scheduled delivery).
-  const Message& msg = shared->msg;
-  const double delay = NextHopDelay();
-  Message chopped;
-  const Message* wire = &msg;
-  size_t keep_ints = 0, keep_doubles = 0;
-  bool truncated = false;
-  if (fault_.enabled() && fault_.truncates() &&
-      fault_.TruncatePayload(msg.ints.size(), msg.doubles.size(), &keep_ints,
-                             &keep_doubles)) {
-    chopped = msg;
-    chopped.ints.resize(keep_ints);
-    chopped.doubles.resize(keep_doubles);
-    wire = &chopped;
-    truncated = true;
-  }
-  const bool fault_drop =
-      fault_.enabled() && (fault_.IsCrashed(from, Now()) ||
-                           fault_.DropTransmission(from, to, Now()) ||
-                           fault_.IsCrashed(to, Now() + delay));
-  const bool churn_drop =
-      churn_.enabled() &&
-      (churn_.IsAbsent(from, Now()) || churn_.IsAbsent(to, Now() + delay) ||
-       !HasLiveEdge(from, to));
-  if (fault_drop || churn_drop) {
-    // The leg never schedules, so it takes no reference: a fan-out whose
-    // legs all drop releases the payload when Broadcast drops its own ref.
-    if (churn_drop) ++churn_drops_;
-    stats_.RecordDropped(wire->category, wire->CostUnits(),
-                         FrameBytes(*wire));
-    if (observer_ != nullptr) {
-      observer_->OnCausal({0, shared->msg_id, queue_.active_cause()});
-      observer_->OnDrop(Now(), from, to, *wire);
-    }
-    return;
-  }
-  stats_.Record(wire->category, wire->CostUnits(), FrameBytes(*wire));
-  if (observer_ != nullptr) {
-    observer_->OnCausal({0, shared->msg_id, queue_.active_cause()});
-    observer_->OnSend(Now(), from, to, *wire, delay);
-  }
-  if (truncated) {
-    // The truncated leg's private payload is still the same logical
-    // transmission, so it keeps the fan-out's message id — the (id, to)
-    // pair stays unique across legs either way.
-    MessageArena::Slot* priv = arena_.Create(std::move(chopped));
-    priv->msg_id = shared->msg_id;
-    queue_.ScheduleDeliveryAfter(delay, from, to, priv);
-  } else {
-    MessageArena::AddRef(shared);
-    queue_.ScheduleDeliveryAfter(delay, from, to, shared);
-  }
-}
-
-void Network::Broadcast(int from, Message msg) {
-  const std::vector<int>& nbrs = neighbors(from);
-  if (nbrs.empty()) return;
-  // One immutable payload shared by every fan-out leg; receivers get a
-  // const& into it, so nothing is copied per neighbor.
-  if (config_.arena_messages) {
-    MessageArena::Slot* shared = arena_.Create(std::move(msg));
-    if (observer_ != nullptr) shared->msg_id = NewCauseId();
-    for (int nb : nbrs) SendSharedArena(from, nb, shared);
-    // Drop the creator's reference; the payload now lives exactly as long
-    // as its last scheduled delivery (or dies here if every leg dropped).
-    arena_.Release(shared);
-  } else {
-    const auto shared = std::make_shared<const Message>(std::move(msg));
-    const uint64_t mid = observer_ != nullptr ? NewCauseId() : 0;
-    for (int nb : nbrs) SendShared(from, nb, shared, mid);
-  }
 }
 
 const RouteMemo::Hop* RouteMemo::Find(int relay, int to) const {
@@ -517,13 +395,13 @@ int Network::SendRouted(int from, int to, Message msg) {
   if (from == to) {
     if (fault_.enabled() && fault_.IsCrashed(to, Now())) return 0;
     if (churn_.enabled() && churn_.IsAbsent(to, Now())) return 0;
-    uint64_t mid = 0;
+    MessageArena::Slot* local = arena_.Create(std::move(msg));
     if (observer_ != nullptr) {
-      mid = NewCauseId();
-      observer_->OnCausal({0, mid, queue_.active_cause()});
-      observer_->OnSend(Now(), from, to, msg, 0.0);
+      local->msg_id = NewCauseId();
+      observer_->OnCausal({0, local->msg_id, queue_.active_cause()});
+      observer_->OnSend(Now(), from, to, local->msg, 0.0);
     }
-    ScheduleDelivery(0.0, from, to, std::move(msg), mid);
+    queue_.ScheduleDeliveryAfter(0.0, from, to, local);
     return 0;
   }
   const int hops = Route(from, to);
@@ -539,67 +417,48 @@ int Network::SendRouted(int from, int to, Message msg) {
     return 0;
   }
   ELINK_CHECK(hops > 0);  // Connected networks only.
+  // One message id covers the whole routed journey: every relay hop is the
+  // same frame in flight.
+  MessageArena::Slot* payload = arena_.Create(std::move(msg));
+  if (observer_ != nullptr) payload->msg_id = NewCauseId();
   // End-to-end payload corruption: one truncation decision per routed
   // message, drawn before the per-hop loss draws.
-  if (fault_.enabled()) MaybeTruncate(&msg);
+  MessageArena::Slot* frame = OnAir(payload);
+  if (frame != payload) arena_.Release(payload);
   // The identical frame is on the air at every hop, so its length is
-  // computed once per routed message, not once per relay.
-  const uint64_t frame_bytes = FrameBytes(msg);
-  // One message id covers the whole routed journey — every relay hop is the
-  // same frame in flight.  The causal parent is pinned here: the hop loop
-  // below runs synchronously inside the caller's handler, so the active
-  // cause cannot change mid-walk.
-  uint64_t mid = 0;
-  uint64_t cause = 0;
-  if (observer_ != nullptr) {
-    mid = NewCauseId();
-    cause = queue_.active_cause();
-  }
+  // computed once per routed message, not once per relay.  The causal
+  // parent is pinned here too: the hop loop runs synchronously inside the
+  // caller's handler, so the active cause cannot change mid-walk.
+  const uint64_t frame_bytes = FrameBytes(frame->msg);
+  const uint64_t cause = queue_.active_cause();
   // Walk the path hop by hop: each relay transmission is charged when it
   // happens and any hop can lose the message (relay crashed, link down or
-  // lossy, next relay dead on arrival).  Fault-free, this performs exactly
-  // the per-hop charges and single end-delivery of the original code.
+  // lossy, next relay dead on arrival).  The route follows live links at
+  // send time, so under churn only endpoint absence can sink a hop.
   double delay = 0.0;
   int cur = from;
   int prev = from;
   while (cur != to) {
     const int next = route_next_[cur];
     const double hop_delay = NextHopDelay();
-    const bool fault_drop =
-        fault_.enabled() &&
-        (fault_.IsCrashed(cur, Now() + delay) ||
-         fault_.DropTransmission(cur, next, Now() + delay) ||
-         fault_.IsCrashed(next, Now() + delay + hop_delay));
-    // The route follows live links at send time, so only endpoint absence
-    // (at the hop's own instants) can sink a hop here.
-    const bool churn_drop =
-        churn_.enabled() &&
-        (churn_.IsAbsent(cur, Now() + delay) ||
-         churn_.IsAbsent(next, Now() + delay + hop_delay));
-    if (fault_drop || churn_drop) {
-      if (churn_drop) ++churn_drops_;
-      stats_.RecordDropped(msg.category, msg.CostUnits(), frame_bytes);
-      if (observer_ != nullptr) {
-        observer_->OnCausal({0, mid, cause});
-        observer_->OnDrop(Now() + delay, cur, next, msg);
-      }
+    if (!Transmit(cur, next, Now() + delay, Now() + delay + hop_delay,
+                  frame->msg, frame_bytes, frame->msg_id, cause)) {
+      arena_.Release(frame);
       return hops;
     }
-    stats_.Record(msg.category, msg.CostUnits(), frame_bytes);
     if (observer_ != nullptr) {
-      observer_->OnCausal({0, mid, cause});
-      observer_->OnHop(Now() + delay, cur, next, msg);
+      observer_->OnHop(Now() + delay, cur, next, frame->msg);
     }
     delay += hop_delay;
     prev = cur;
     cur = next;
   }
   if (observer_ != nullptr) {
-    observer_->OnCausal({0, mid, cause});
-    observer_->OnSend(Now(), from, to, msg, delay);
+    observer_->OnCausal({0, frame->msg_id, cause});
+    observer_->OnSend(Now(), from, to, frame->msg, delay);
   }
   // The penultimate node on the path is the sender seen by `to`.
-  ScheduleDelivery(delay, prev, to, std::move(msg), mid);
+  queue_.ScheduleDeliveryAfter(delay, prev, to, frame);
   return hops;
 }
 

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -159,13 +160,6 @@ class Network {
     /// link add/remove).  The default plan is inert: the topology is frozen
     /// and the run is byte-identical to a build without the churn layer.
     ChurnPlan churn;
-    /// When true (the default), in-flight payloads live in the slab arena
-    /// and deliveries are inline POD events; when false, every delivery
-    /// parks its payload in a heap-backed closure (the pre-arena layout).
-    /// The two paths are observably identical — same RNG draws, same
-    /// (time, seq) order, same bytes in every report — and the knob exists
-    /// so tests can prove exactly that.
-    bool arena_messages = Network::default_arena_messages();
     /// Route memo to read and fill instead of the Network's own, for callers
     /// that build many Networks over one topology (a query protocol lends
     /// its memo to every run's Network).  Borrowed: it must outlive the
@@ -174,16 +168,6 @@ class Network {
     /// owns.  Ignored while churn is enabled: no memo is read or written.
     RouteMemo* route_memo = nullptr;
   };
-
-  /// Process-wide default for Config::arena_messages.  Protocols construct
-  /// their Network::Config internally, so the arena-vs-heap equivalence
-  /// suite flips this to run whole protocol stacks on the legacy heap path
-  /// without threading a knob through every protocol's options.  Not a
-  /// production switch: leave it true outside tests.
-  static bool default_arena_messages() { return default_arena_messages_; }
-  static void set_default_arena_messages(bool v) {
-    default_arena_messages_ = v;
-  }
 
   Network(Topology topology, Config config);
 
@@ -216,7 +200,9 @@ class Network {
   /// Sends `msg` to every neighbor of `from` (independent transmissions).
   /// All fan-out deliveries share one immutable payload — the message is
   /// materialized once, not copied per neighbor — but each transmission is
-  /// charged, delayed, and fault-gated independently, exactly like N Sends.
+  /// charged, delayed, and fault-gated independently.  Send is the one-leg
+  /// case of the same fan-out, so a Broadcast is bit-identical to the N
+  /// Sends it replaces.
   void Broadcast(int from, Message msg);
 
   /// Sends `msg` from `from` to an arbitrary node `to` along a shortest hop
@@ -281,8 +267,8 @@ class Network {
   bool hit_event_cap() const { return hit_event_cap_; }
 
   Node* node(int id) { return nodes_[id].get(); }
-  /// The payload arena (exposed for tests/diagnostics; empty when the run
-  /// uses heap-backed messages).
+  /// The payload arena holding every in-flight message (exposed for
+  /// tests/diagnostics).
   const MessageArena& arena() const { return arena_; }
   MessageStats& stats() { return stats_; }
   const MessageStats& stats() const { return stats_; }
@@ -341,28 +327,28 @@ class Network {
   void RestartNode(int node);
   /// Delivers OnNeighborChange(node, up) to every present live neighbor.
   void NotifyNeighbors(int node, bool up);
-  /// Applies the fault plan's in-flight payload truncation to `msg` (no-op
-  /// unless the plan enables it; draws from the fault RNG stream only then).
-  void MaybeTruncate(Message* msg);
-  /// One fan-out leg of a Broadcast (heap path): identical charging/fault/
-  /// delay logic to Send, but the delivery closure holds a reference to the
-  /// shared payload instead of its own Message copy.  `msg_id` is the
-  /// fan-out's shared causal message id (0 when untraced).
-  void SendShared(int from, int to, const std::shared_ptr<const Message>& msg,
-                  uint64_t msg_id);
-  /// One fan-out leg of a Broadcast (arena path): `shared` is the arena
-  /// payload every intact leg references; a truncated leg gets a private
-  /// arena copy.  Charging/fault/delay logic mirrors Send exactly.
-  void SendSharedArena(int from, int to, MessageArena::Slot* shared);
-  /// Schedules the final delivery of `msg` (already charged and fault-
-  /// cleared): an inline arena-backed POD event, or — with arena_messages
-  /// off — the legacy heap-backed closure.  `msg_id` rides along so the
-  /// delivery can report which traced message it completes.
-  void ScheduleDelivery(double delay, int from, int to, Message&& msg,
-                        uint64_t msg_id);
-  /// Heap-path delivery body: emits the causal/deliver annotations and runs
-  /// the handler, consuming ids in exactly the order the arena path does.
-  void DeliverHeap(int from, int to, const Message& msg, uint64_t msg_id);
+  /// Sends the payload `msg` from `from` to each node of `to`: one arena
+  /// payload and one causal message id for the whole fan-out, then per leg
+  /// the delay draw, the truncation draw (OnAir), the loss decision
+  /// (Transmit) and the delivery, which takes a reference on the shared
+  /// payload or owns the leg's truncated copy.
+  void FanOut(int from, std::span<const int> to, Message&& msg);
+  /// The frame one transmission of `payload` puts on the air: `payload`
+  /// itself, or a private truncated copy when the fault plan cuts this
+  /// transmission (draws from the fault stream only under such a plan).
+  /// OnAir and Transmit run once per leg or hop, so they are inline; both
+  /// are defined (and forced inline) in network.cc, the only file that
+  /// calls them.
+  inline MessageArena::Slot* OnAir(MessageArena::Slot* payload);
+  /// Decides whether the frame `msg` (`bytes` long) that `from` puts on the
+  /// air at `sent` reaches `to` at `arrives`, under the fault plan and then
+  /// churn, and charges it as sent or dropped; reports the causal edge
+  /// (message `msg_id`, parent `cause`) and any drop to the observer.  The
+  /// one loss decision behind unicast legs, broadcast legs and routed hops.
+  /// Returns true when the frame is delivered.
+  inline bool Transmit(int from, int to, double sent, double arrives,
+                       const Message& msg, uint64_t bytes, uint64_t msg_id,
+                       uint64_t cause);
   /// Inline-event trampolines installed into the EventQueue.
   static void OnDeliveryEvent(void* ctx, int from, int to, void* payload);
   static void OnTimerEvent(void* ctx, int node, int timer_id, uint64_t aux);
@@ -413,8 +399,6 @@ class Network {
   std::vector<uint64_t> route_seen_;
   uint64_t route_epoch_ = 0;
   std::vector<int> route_queue_;
-
-  static bool default_arena_messages_;
 };
 
 }  // namespace elink

@@ -389,6 +389,81 @@ TEST(NetworkTest, BroadcastReachesAllNeighbors) {
   }
 }
 
+/// Node that appends every delivery to a log shared by the whole network.
+class DeliveryLogNode : public Node {
+ public:
+  struct Delivery {
+    double time;
+    int from;
+    int to;
+    size_t ints;
+    size_t doubles;
+    bool operator==(const Delivery&) const = default;
+  };
+  explicit DeliveryLogNode(std::vector<Delivery>* log) : log_(log) {}
+  void HandleMessage(int from, const Message& msg) override {
+    log_->push_back({network()->Now(), from, id(), msg.ints.size(),
+                     msg.doubles.size()});
+  }
+
+ private:
+  std::vector<Delivery>* log_;
+};
+
+TEST(NetworkTest, BroadcastMatchesIndependentSendsUnderFaults) {
+  // A Broadcast must be bit-identical to one Send per neighbor: the same
+  // delay, truncation and loss draws in the same order, so the same
+  // deliveries at the same instants with the same (possibly cut) payloads,
+  // and the same ledger.
+  uint64_t drops = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Network::Config cfg;
+    cfg.synchronous = false;
+    cfg.seed = seed;
+    cfg.fault.drop_probability = 0.2;
+    cfg.fault.truncate_probability = 0.3;
+    cfg.fault.node_crashes.push_back({5, 0.8, 2.5});
+    std::vector<DeliveryLogNode::Delivery> bcast_log, send_log;
+    Network bcast(MakeGridTopology(4, 4), cfg);
+    Network sends(MakeGridTopology(4, 4), cfg);
+    bcast.InstallNodes(
+        [&](int) { return std::make_unique<DeliveryLogNode>(&bcast_log); });
+    sends.InstallNodes(
+        [&](int) { return std::make_unique<DeliveryLogNode>(&send_log); });
+    // Two rounds from every node: the second starts while node 5 is down,
+    // so crashed senders and receivers both occur.
+    auto round = [](Network& net, bool broadcast) {
+      for (int from = 0; from < net.num_nodes(); ++from) {
+        Message m;
+        m.category = "bc";
+        m.ints = {1, 2, 3, 4};
+        m.doubles = {0.5, 1.5, 2.5};
+        if (broadcast) {
+          net.Broadcast(from, std::move(m));
+        } else {
+          for (int nb : net.neighbors(from)) net.Send(from, nb, m);
+        }
+      }
+    };
+    for (Network* net : {&bcast, &sends}) {
+      const bool broadcast = net == &bcast;
+      round(*net, broadcast);
+      net->ScheduleAfter(1.0, [net, broadcast, round] {
+        round(*net, broadcast);
+      });
+      net->Run();
+    }
+
+    EXPECT_EQ(bcast_log, send_log) << "seed " << seed;
+    EXPECT_EQ(bcast.stats().ToString(), sends.stats().ToString())
+        << "seed " << seed;
+    EXPECT_EQ(bcast.arena().live(), 0u);
+    EXPECT_EQ(sends.arena().live(), 0u);
+    drops += bcast.stats().dropped_sends();
+  }
+  EXPECT_GT(drops, 0u);
+}
+
 TEST(NetworkTest, SendRoutedChargesPerHop) {
   auto net_ptr = MakeTestNetwork();
   Network& net = *net_ptr;
