@@ -11,7 +11,10 @@
 //   check_fuzz --seed=1234 --protocol=elink --disable=faults,slack
 //
 // Output is byte-identical for any --threads value: trials run in parallel
-// but results are kept in per-index slots and printed in index order.
+// but results are kept in per-index slots and printed in index order.  Each
+// protocol's summary line ends in an FNV-1a digest over every trial's
+// RunReport JSON in seed order, so two builds' logs compare outcomes, not
+// only pass counts.
 // Exits 1 when any trial fails, 0 otherwise.
 #include <cinttypes>
 #include <cstdint>
@@ -34,7 +37,16 @@ struct TrialSlot {
   bool ok = true;
   std::vector<CheckViolation> violations;
   std::string describe;
+  std::vector<std::string> reports;
 };
+
+uint64_t Fnv1a(uint64_t h, const std::string& bytes) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 std::string ReproLine(Protocol protocol, uint64_t seed,
                       const ScenarioKnobs& knobs) {
@@ -103,8 +115,11 @@ int Main(int argc, char** argv) {
     TrialSlot& slot = slots[i];
     slot.protocol = protocols[i / scenarios];
     slot.seed = seed_start + static_cast<uint64_t>(i % scenarios);
-    CheckOutcome outcome = RunScenario(slot.protocol, slot.seed, knobs);
+    TrialArtifacts artifacts;
+    CheckOutcome outcome =
+        RunScenario(slot.protocol, slot.seed, knobs, &artifacts);
     slot.ok = outcome.ok();
+    slot.reports = std::move(artifacts.reports);
     slot.violations = std::move(outcome.violations);
     slot.describe = outcome.scenario.Describe();
   });
@@ -113,11 +128,16 @@ int Main(int argc, char** argv) {
   int failures = 0;
   for (size_t p = 0; p < protocols.size(); ++p) {
     int ok_count = 0;
+    uint64_t digest = 14695981039346656037ULL;
     for (int s = 0; s < scenarios; ++s) {
-      if (slots[p * scenarios + s].ok) ++ok_count;
+      const TrialSlot& slot = slots[p * scenarios + s];
+      if (slot.ok) ++ok_count;
+      for (const std::string& report : slot.reports) {
+        digest = Fnv1a(digest, report);
+      }
     }
-    std::printf("  %-12s %d/%d ok\n", ProtocolName(protocols[p]), ok_count,
-                scenarios);
+    std::printf("  %-12s %d/%d ok  reports %016" PRIx64 "\n",
+                ProtocolName(protocols[p]), ok_count, scenarios, digest);
     failures += scenarios - ok_count;
   }
   if (failures == 0) {

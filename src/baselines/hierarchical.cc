@@ -1,7 +1,6 @@
 #include "baselines/hierarchical.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <map>
 #include <set>
@@ -16,22 +15,13 @@ namespace {
 int ClusterTreeHops(const AdjacencyList& adjacency,
                     const std::vector<int>& root_of, int node, int root) {
   if (node == root) return 0;
-  std::vector<int> dist(adjacency.size(), -1);
-  std::deque<int> queue{root};
-  dist[root] = 0;
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop_front();
-    if (u == node) return dist[u];
-    for (int v : adjacency[u]) {
-      if (dist[v] < 0 && root_of[v] == root_of[root]) {
-        dist[v] = dist[u] + 1;
-        queue.push_back(v);
-      }
-    }
-  }
-  ELINK_CHECK(false);  // Clusters are connected by construction.
-  return -1;
+  Bfs bfs(static_cast<int>(adjacency.size()));
+  const int found = bfs.Run(
+      adjacency, root,
+      [&](int v) { return root_of[v] == root_of[root]; },
+      [node](int v) { return v == node; });
+  ELINK_CHECK(found == node);  // Clusters are connected by construction.
+  return bfs.hops(node);
 }
 
 }  // namespace

@@ -525,7 +525,11 @@ void RunMaintenanceTrial(const Scenario& s, CheckOutcome* out,
       // Departed nodes keep their last (stale) assignment, so the full-view
       // check does not apply; the live view must be self-consistent.
       const std::vector<char> live = dm.LiveMask();
-      std::map<int, std::vector<char>> members;  // root -> live member mask.
+      struct LiveMembers {
+        int first = -1;  // Smallest live member.
+        size_t count = 0;
+      };
+      std::map<int, LiveMembers> members;  // Keyed by root.
       for (int i = 0; i < n; ++i) {
         if (!live[i]) continue;
         const int r = c.root_of[i];
@@ -540,15 +544,17 @@ void RunMaintenanceTrial(const Scenario& s, CheckOutcome* out,
                            "(root_of[%d] = %d)",
                            i, r, r, c.root_of[r]));
         }
-        auto [it, inserted] = members.emplace(r, std::vector<char>());
-        if (inserted) it->second.assign(n, 0);
-        it->second[i] = 1;
+        LiveMembers& m = members[r];
+        if (m.count++ == 0) m.first = i;
       }
       // Self-healing convergence: the live members of every maintained
       // cluster stay connected through live radio links.
       const AdjacencyList live_adj = dm.LiveAdjacency();
-      for (const auto& [root, mask] : members) {
-        if (!IsInducedConnected(live_adj, mask)) {
+      Bfs bfs(n);
+      for (const auto& [root, m] : members) {
+        bfs.Flood(live_adj, m.first,
+                  [&](int v) { return live[v] && c.root_of[v] == root; });
+        if (bfs.order().size() != m.count) {
           Add(out, "maintenance_live_connectivity",
               StringPrintf(
                   "cluster rooted at %d is disconnected on the live topology",

@@ -42,11 +42,13 @@ Status ValidateDeltaClustering(const Clustering& clustering,
           "root %d of node %zu is not a member of its own cluster", r, i));
     }
   }
+  Bfs bfs(static_cast<int>(n));
   for (const auto& [root, members] : clustering.Groups()) {
-    // Connectivity of the induced subgraph.
-    std::vector<char> mask(n, 0);
-    for (int m : members) mask[m] = 1;
-    if (!IsInducedConnected(adjacency, mask)) {
+    // Connectivity of the induced subgraph: the search from the root over
+    // same-cluster nodes must reach every member.
+    bfs.Flood(adjacency, root,
+              [&](int v) { return clustering.root_of[v] == root; });
+    if (bfs.order().size() != members.size()) {
       return Status::FailedPrecondition(
           StringPrintf("cluster rooted at %d is disconnected", root));
     }
@@ -76,27 +78,15 @@ int RepairDisconnectedClusters(Clustering* clustering,
   // Roots are rewritten after all components are known, so every search
   // sees the original assignment.
   std::vector<int> start_of(n, -1);
-  std::vector<int> queue;
+  Bfs bfs(n);
   int created = 0;
   for (int s = 0; s < n; ++s) {
     if (root_of[s] < 0 || start_of[s] >= 0) continue;
     const int root = root_of[s];
-    start_of[s] = s;
-    queue.assign(1, s);
-    bool has_root = s == root;
-    for (size_t head = 0; head < queue.size(); ++head) {
-      for (int v : adjacency[queue[head]]) {
-        if (root_of[v] != root || start_of[v] >= 0) continue;
-        start_of[v] = s;
-        has_root |= v == root;
-        queue.push_back(v);
-      }
-    }
-    if (has_root) {
-      for (int m : queue) start_of[m] = root;
-    } else {
-      ++created;
-    }
+    bfs.Flood(adjacency, s, [&](int v) { return root_of[v] == root; });
+    const bool has_root = bfs.reached(root);
+    if (!has_root) ++created;
+    for (int m : bfs.order()) start_of[m] = has_root ? root : s;
   }
   for (int i = 0; i < n; ++i) {
     if (root_of[i] >= 0) root_of[i] = start_of[i];
@@ -113,21 +103,15 @@ std::vector<int> BuildClusterTrees(const Clustering& clustering,
     if (r >= 0) is_root[r] = 1;
   }
   // BFS from each root (ascending) restricted to its cluster's members.
+  // Nodes an earlier search already claimed stay with it; only an invalid
+  // clustering (a root listed by another cluster) has any.
   std::vector<int> parent(n, -1);
-  std::vector<int> queue;
+  Bfs bfs(n);
   for (int root = 0; root < n; ++root) {
     if (!is_root[root]) continue;
-    parent[root] = root;
-    queue.assign(1, root);
-    for (size_t head = 0; head < queue.size(); ++head) {
-      const int u = queue[head];
-      for (int v : adjacency[u]) {
-        if (root_of[v] == root && parent[v] < 0) {
-          parent[v] = u;
-          queue.push_back(v);
-        }
-      }
-    }
+    bfs.Flood(adjacency, root,
+              [&](int v) { return root_of[v] == root && parent[v] < 0; });
+    for (int v : bfs.order()) parent[v] = bfs.parent(v);
   }
   return parent;
 }

@@ -1,6 +1,5 @@
 #include "cluster/maintenance.h"
 
-#include <deque>
 #include <map>
 
 #include "cluster/maintenance_wire.h"
@@ -49,22 +48,13 @@ int MaintenanceSession::TreeHopsToRoot(int node) const {
   const int root = clustering_.root_of[node];
   if (node == root) return 0;
   // BFS within the cluster's induced subgraph from the root.
-  std::vector<int> dist(topology_.num_nodes(), -1);
-  std::deque<int> queue{root};
-  dist[root] = 0;
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop_front();
-    if (u == node) break;
-    for (int v : topology_.adjacency[u]) {
-      if (dist[v] < 0 && clustering_.root_of[v] == root) {
-        dist[v] = dist[u] + 1;
-        queue.push_back(v);
-      }
-    }
-  }
-  ELINK_CHECK(dist[node] > 0);  // Clusters stay connected (repair pass).
-  return dist[node];
+  Bfs bfs(topology_.num_nodes());
+  const int found = bfs.Run(
+      topology_.adjacency, root,
+      [&](int v) { return clustering_.root_of[v] == root; },
+      [node](int v) { return v == node; });
+  ELINK_CHECK(found == node);  // Clusters stay connected (repair pass).
+  return bfs.hops(node);
 }
 
 void MaintenanceSession::UpdateFeature(int node, const Feature& updated) {

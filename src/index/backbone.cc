@@ -1,7 +1,6 @@
 #include "index/backbone.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <functional>
 #include <queue>
 #include <string>
@@ -9,6 +8,7 @@
 #include <utility>
 
 #include "index/mtree.h"
+#include "sim/graph.h"
 
 namespace elink {
 
@@ -55,7 +55,8 @@ Backbone Backbone::Build(const Clustering& clustering,
     }
   }
 
-  std::vector<char> in_tree(n, 0);
+  // One search's scratch serves every BFS below.
+  Bfs bfs(n);
   if (features != nullptr && metric != nullptr && bb.leaders_.size() > 1) {
     // Feature-aware tree: root at the leader medoid, then Prim's algorithm
     // with leader feature distances as weights, so feature-similar clusters
@@ -77,6 +78,7 @@ Backbone Backbone::Build(const Clustering& clustering,
     }
     bb.tree_root_ = root;
     bb.tree_parent_[root] = root;
+    std::vector<char> in_tree(n, 0);
     // Lazy min-heap of crossing edges (weight, joining leader, tree leader):
     // the cheapest edge to an outside leader, ties to the smaller joining
     // then the smaller tree leader.
@@ -107,78 +109,40 @@ Backbone Backbone::Build(const Clustering& clustering,
   } else {
     // BFS spanning tree over the cluster graph from the smallest leader id.
     bb.tree_root_ = bb.leaders_.front();
-    bb.tree_parent_[bb.tree_root_] = bb.tree_root_;
-    std::vector<int> queue{bb.tree_root_};
-    in_tree[bb.tree_root_] = 1;
-    for (size_t head = 0; head < queue.size(); ++head) {
-      const int cur = queue[head];
-      for (int nb : cluster_adj[cur]) {
-        if (in_tree[nb]) continue;
-        in_tree[nb] = 1;
-        bb.tree_parent_[nb] = cur;
-        bb.tree_children_[cur].push_back(nb);
-        queue.push_back(nb);
-      }
+    bfs.Flood(cluster_adj, bb.tree_root_);
+    for (int leader : bfs.order()) {
+      const int parent = bfs.parent(leader);
+      bb.tree_parent_[leader] = parent;
+      if (parent != leader) bb.tree_children_[parent].push_back(leader);
     }
     // A connected communication graph yields a connected cluster graph.
-    ELINK_CHECK(queue.size() == bb.leaders_.size());
+    ELINK_CHECK(bfs.order().size() == bb.leaders_.size());
   }
 
-  // Bottom-up order: depths top-down from the root (a parent's depth is set
-  // before its children are reached), then deepest first, ties by id.
-  {
-    std::vector<int> depth(n, 0);
-    std::vector<int> queue{bb.tree_root_};
-    for (size_t head = 0; head < queue.size(); ++head) {
-      for (int child : bb.tree_children_[queue[head]]) {
-        depth[child] = depth[queue[head]] + 1;
-        queue.push_back(child);
-      }
-    }
-    bb.leaders_bottom_up_ = bb.leaders_;
-    std::sort(bb.leaders_bottom_up_.begin(), bb.leaders_bottom_up_.end(),
-              [&](int a, int b) {
-                if (depth[a] != depth[b]) return depth[a] > depth[b];
-                return a < b;
-              });
-  }
+  // Bottom-up order: depths from the root down the tree, then deepest
+  // first, ties by id.
+  bfs.Flood(bb.tree_children_, bb.tree_root_);
+  bb.leaders_bottom_up_ = bb.leaders_;
+  std::sort(bb.leaders_bottom_up_.begin(), bb.leaders_bottom_up_.end(),
+            [&](int a, int b) {
+              if (bfs.hops(a) != bfs.hops(b)) return bfs.hops(a) > bfs.hops(b);
+              return a < b;
+            });
 
   // Hops of every tree edge: a BFS from the leader that stops once it
-  // discovers its parent, over scratch reused across leaders (seen[v] ==
-  // epoch marks v visited by the current search).
-  {
-    std::vector<uint32_t> seen(n, 0);
-    std::vector<int> dist(n, 0);
-    std::vector<int> queue;
-    uint32_t epoch = 0;
-    for (int leader : bb.leaders_) {
-      const int parent = bb.tree_parent_[leader];
-      if (parent == leader) continue;
-      ++epoch;
-      seen[leader] = epoch;
-      dist[leader] = 0;
-      queue.assign(1, leader);
-      int hops = 0;
-      for (size_t head = 0; head < queue.size() && hops == 0; ++head) {
-        const int u = queue[head];
-        for (int v : adjacency[u]) {
-          if (seen[v] == epoch) continue;
-          seen[v] = epoch;
-          dist[v] = dist[u] + 1;
-          if (v == parent) {
-            hops = dist[v];
-            break;
-          }
-          queue.push_back(v);
-        }
-      }
-      ELINK_CHECK(hops > 0);
-      bb.parent_hops_[leader] = hops;
-      bb.total_tree_hops_ += hops;
-      if (build_stats != nullptr) {
-        // Tree agreement: each leader notifies its chosen parent.
-        for (int h = 0; h < hops; ++h) build_stats->Record(kCategory, 1);
-      }
+  // discovers its parent.
+  for (int leader : bb.leaders_) {
+    const int parent = bb.tree_parent_[leader];
+    if (parent == leader) continue;
+    const int found = bfs.Run(adjacency, leader, [](int) { return true; },
+                              [parent](int v) { return v == parent; });
+    ELINK_CHECK(found == parent);
+    const int hops = bfs.hops(parent);
+    bb.parent_hops_[leader] = hops;
+    bb.total_tree_hops_ += hops;
+    if (build_stats != nullptr) {
+      // Tree agreement: each leader notifies its chosen parent.
+      for (int h = 0; h < hops; ++h) build_stats->Record(kCategory, 1);
     }
   }
 
@@ -186,20 +150,17 @@ Backbone Backbone::Build(const Clustering& clustering,
   // backbone root, pruned to the union of root-to-leader paths.  Shared
   // prefixes are a single branch, so one flood reaches every leader in
   // (marked nodes - 1) transmissions.
-  {
-    const std::vector<int> parents =
-        BfsTreeParents(adjacency, bb.tree_root_);
-    std::vector<char> marked(n, 0);
-    int num_marked = 0;
-    for (int leader : bb.leaders_) {
-      for (int cur = leader; !marked[cur]; cur = parents[cur]) {
-        marked[cur] = 1;
-        ++num_marked;
-        if (cur == bb.tree_root_) break;
-      }
+  bfs.Flood(adjacency, bb.tree_root_);
+  std::vector<char> marked(n, 0);
+  int num_marked = 0;
+  for (int leader : bb.leaders_) {
+    for (int cur = leader; !marked[cur]; cur = bfs.parent(cur)) {
+      marked[cur] = 1;
+      ++num_marked;
+      if (cur == bb.tree_root_) break;
     }
-    bb.flood_hops_ = num_marked - 1;
   }
+  bb.flood_hops_ = num_marked - 1;
   return bb;
 }
 

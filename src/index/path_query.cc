@@ -1,7 +1,6 @@
 #include "index/path_query.h"
 
 #include <algorithm>
-#include <deque>
 #include <set>
 
 namespace elink {
@@ -143,30 +142,13 @@ PathQueryResult PathQueryEngine::Query(int source, int destination,
   // search is charged at cluster granularity — one message per safe-region
   // link plus the final path trace — reflecting that contiguous safe
   // clusters are linked by their backbone trees rather than flooded.
-  std::vector<int> parent(n, -1);
-  std::deque<int> queue{source};
-  parent[source] = source;
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop_front();
-    if (u == destination) break;
-    for (int v : adjacency_[u]) {
-      if (safe[v] && parent[v] < 0) {
-        parent[v] = u;
-        queue.push_back(v);
-      }
-    }
-  }
-  if (parent[destination] < 0) {
+  result.path = ShortestHopPath(adjacency_, source, destination,
+                                [&](int v) { return safe[v] != 0; });
+  if (result.path.empty()) {
     result.found = false;
     return result;
   }
   result.found = true;
-  for (int cur = destination; cur != source; cur = parent[cur]) {
-    result.path.push_back(cur);
-  }
-  result.path.push_back(source);
-  std::reverse(result.path.begin(), result.path.end());
   // Safe-region search cost: one probe per safe cluster (over its backbone
   // link) + the path trace back to the source.
   std::set<int> safe_clusters;
@@ -198,32 +180,20 @@ PathQueryResult PathQueryEngine::BfsBaseline(int source, int destination,
     return result;
   }
   // Flooding: every reached safe node broadcasts once to all its neighbors.
-  std::vector<int> parent(n, -1);
-  std::deque<int> queue{source};
-  parent[source] = source;
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop_front();
+  Bfs bfs(n);
+  bfs.Flood(adjacency_, source,
+            [&](int v) { return IsSafe(v, danger, gamma); });
+  for (int u : bfs.order()) {
     for (size_t nb = 0; nb < adjacency_[u].size(); ++nb) {
       result.stats.Record("bfs_flood", feature_dim_ + 1);
     }
-    for (int v : adjacency_[u]) {
-      if (parent[v] < 0 && IsSafe(v, danger, gamma)) {
-        parent[v] = u;
-        queue.push_back(v);
-      }
-    }
   }
-  if (parent[destination] < 0) {
+  result.path = bfs.PathTo(destination);
+  if (result.path.empty()) {
     result.found = false;
     return result;
   }
   result.found = true;
-  for (int cur = destination; cur != source; cur = parent[cur]) {
-    result.path.push_back(cur);
-  }
-  result.path.push_back(source);
-  std::reverse(result.path.begin(), result.path.end());
   for (size_t h = 0; h + 1 < result.path.size(); ++h) {
     result.stats.Record("path_trace", 1);
   }

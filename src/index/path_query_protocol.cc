@@ -1,7 +1,6 @@
 #include "index/path_query_protocol.h"
 
 #include <algorithm>
-#include <deque>
 #include <set>
 #include <utility>
 
@@ -374,30 +373,13 @@ Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
 
   // Safe backbone trees: the search over the assembled safe map runs at
   // cluster granularity, identically to PathQueryEngine::Query.
-  std::vector<int> parent(n, -1);
-  std::deque<int> queue{source};
-  parent[source] = source;
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop_front();
-    if (u == destination) break;
-    for (int v : topology_.adjacency[u]) {
-      if (ctx.safe[v] && parent[v] < 0) {
-        parent[v] = u;
-        queue.push_back(v);
-      }
-    }
-  }
-  if (parent[destination] < 0) {
+  result.path = ShortestHopPath(topology_.adjacency, source, destination,
+                                [&](int v) { return ctx.safe[v] != 0; });
+  if (result.path.empty()) {
     result.found = false;
     return result;
   }
   result.found = true;
-  for (int cur = destination; cur != source; cur = parent[cur]) {
-    result.path.push_back(cur);
-  }
-  result.path.push_back(source);
-  std::reverse(result.path.begin(), result.path.end());
   std::set<int> safe_clusters;
   for (int i = 0; i < n; ++i) {
     if (ctx.safe[i]) safe_clusters.insert(clustering_.root_of[i]);

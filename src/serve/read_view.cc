@@ -1,7 +1,6 @@
 #include "serve/read_view.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/status.h"
 
@@ -150,25 +149,9 @@ PathAnswer ReadView::SafePath(int source, int destination,
     return metric_->Distance(compact_features_[c], danger) >= gamma - 1e-12;
   };
   if (!safe(s) || !safe(d)) return out;
-  const int m = num_live();
-  std::vector<int> parent(m, -1);
-  std::deque<int> queue;
-  parent[s] = s;
-  queue.push_back(s);
-  while (!queue.empty() && parent[d] == -1) {
-    const int u = queue.front();
-    queue.pop_front();
-    for (int v : compact_adjacency_[u]) {
-      if (parent[v] != -1 || !safe(v)) continue;
-      parent[v] = u;
-      queue.push_back(v);
-    }
-  }
-  if (parent[d] == -1) return out;
-  out.found = true;
-  for (int v = d; v != s; v = parent[v]) out.path.push_back(original_[v]);
-  out.path.push_back(original_[s]);
-  std::reverse(out.path.begin(), out.path.end());
+  out.path = ShortestHopPath(compact_adjacency_, s, d, safe);
+  out.found = !out.path.empty();
+  for (int& v : out.path) v = original_[v];
   return out;
 }
 

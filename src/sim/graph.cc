@@ -1,51 +1,30 @@
 #include "sim/graph.h"
 
 #include <algorithm>
-#include <deque>
 
 namespace elink {
 
 std::vector<int> HopDistancesFrom(const AdjacencyList& adj, int src) {
+  Bfs bfs(static_cast<int>(adj.size()));
+  bfs.Flood(adj, src);
   std::vector<int> dist(adj.size(), -1);
-  std::deque<int> queue;
-  dist[src] = 0;
-  queue.push_back(src);
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop_front();
-    for (int v : adj[u]) {
-      if (dist[v] < 0) {
-        dist[v] = dist[u] + 1;
-        queue.push_back(v);
-      }
-    }
-  }
+  for (int v : bfs.order()) dist[v] = bfs.hops(v);
   return dist;
 }
 
 std::vector<int> BfsTreeParents(const AdjacencyList& adj, int src) {
+  Bfs bfs(static_cast<int>(adj.size()));
+  bfs.Flood(adj, src);
   std::vector<int> parent(adj.size(), -1);
-  std::deque<int> queue;
-  parent[src] = src;
-  queue.push_back(src);
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop_front();
-    for (int v : adj[u]) {
-      if (parent[v] < 0) {
-        parent[v] = u;
-        queue.push_back(v);
-      }
-    }
-  }
+  for (int v : bfs.order()) parent[v] = bfs.parent(v);
   return parent;
 }
 
 bool IsConnected(const AdjacencyList& adj) {
   if (adj.empty()) return true;
-  const std::vector<int> dist = HopDistancesFrom(adj, 0);
-  return std::none_of(dist.begin(), dist.end(),
-                      [](int d) { return d < 0; });
+  Bfs bfs(static_cast<int>(adj.size()));
+  bfs.Flood(adj, 0);
+  return bfs.order().size() == adj.size();
 }
 
 std::vector<int> ConnectedComponents(const AdjacencyList& adj) {
@@ -54,23 +33,15 @@ std::vector<int> ConnectedComponents(const AdjacencyList& adj) {
 
 std::vector<int> InducedComponents(const AdjacencyList& adj,
                                    const std::vector<char>& members) {
-  std::vector<int> comp(adj.size(), -1);
+  const int n = static_cast<int>(adj.size());
+  std::vector<int> comp(n, -1);
+  Bfs bfs(n);
   int next = 0;
-  for (size_t start = 0; start < adj.size(); ++start) {
+  for (int start = 0; start < n; ++start) {
     if (!members[start] || comp[start] >= 0) continue;
-    const int id = next++;
-    std::deque<int> queue{static_cast<int>(start)};
-    comp[start] = id;
-    while (!queue.empty()) {
-      const int u = queue.front();
-      queue.pop_front();
-      for (int v : adj[u]) {
-        if (members[v] && comp[v] < 0) {
-          comp[v] = id;
-          queue.push_back(v);
-        }
-      }
-    }
+    bfs.Flood(adj, start, [&](int v) { return members[v] != 0; });
+    for (int v : bfs.order()) comp[v] = next;
+    ++next;
   }
   return comp;
 }
@@ -86,13 +57,7 @@ bool IsInducedConnected(const AdjacencyList& adj,
 }
 
 std::vector<int> ShortestHopPath(const AdjacencyList& adj, int src, int dst) {
-  const std::vector<int> parent = BfsTreeParents(adj, src);
-  if (parent[dst] < 0) return {};
-  std::vector<int> path;
-  for (int cur = dst; cur != src; cur = parent[cur]) path.push_back(cur);
-  path.push_back(src);
-  std::reverse(path.begin(), path.end());
-  return path;
+  return ShortestHopPath(adj, src, dst, [](int) { return true; });
 }
 
 }  // namespace elink

@@ -45,7 +45,7 @@ Network::Network(Topology topology, Config config)
       nodes_(topology_.num_nodes()),
       own_memo_(topology_.num_nodes()),
       route_next_(topology_.num_nodes(), -1),
-      route_seen_(topology_.num_nodes(), 0) {
+      route_bfs_(topology_.num_nodes()) {
   ELINK_CHECK(config_.async_delay_min > 0.0);
   ELINK_CHECK(config_.async_delay_max >= config_.async_delay_min);
   queue_.SetInlineHandlers(&Network::OnDeliveryEvent, &Network::OnTimerEvent,
@@ -361,33 +361,20 @@ int Network::Route(int from, int to) {
     return -1;
   }
   const AdjacencyList& adj = live ? live_adjacency_ : topology_.adjacency;
-  const uint64_t epoch = ++route_epoch_;
-  route_seen_[to] = epoch;
-  route_queue_.assign(1, to);
-  // BFS from `to` in BfsTreeParents(adj, to) order, cut off once `from` is
-  // discovered, so every next hop is the one the full BFS tree gives.
-  for (size_t head = 0; head < route_queue_.size(); ++head) {
-    const int u = route_queue_[head];
-    for (int v : adj[u]) {
-      if (route_seen_[v] == epoch) continue;
-      route_seen_[v] = epoch;
-      if (live && churn_.IsAbsent(v, Now())) continue;
-      route_next_[v] = u;
-      if (v == from) {
-        int hops = 0;
-        for (int cur = from; cur != to; cur = route_next_[cur]) ++hops;
-        if (memo_ != nullptr) {
-          int left = hops;
-          for (int cur = from; cur != to; cur = route_next_[cur]) {
-            memo_->Insert(cur, to, {route_next_[cur], left--});
-          }
-        }
-        return hops;
-      }
-      route_queue_.push_back(v);
-    }
+  // BFS from `to` cut off once `from` is discovered, so every next hop is
+  // the one the full BFS tree gives.
+  const int found = route_bfs_.Run(
+      adj, to,
+      [&](int v) { return !live || !churn_.IsAbsent(v, Now()); },
+      [from](int v) { return v == from; });
+  if (found < 0) return -1;
+  const int hops = route_bfs_.hops(from);
+  int left = hops;
+  for (int cur = from; cur != to; cur = route_next_[cur]) {
+    route_next_[cur] = route_bfs_.parent(cur);
+    if (memo_ != nullptr) memo_->Insert(cur, to, {route_next_[cur], left--});
   }
-  return -1;
+  return hops;
 }
 
 int Network::SendRouted(int from, int to, Message msg) {

@@ -393,12 +393,9 @@ class Network {
   // and a stored chain could cross a removed link or an absent relay.
   RouteMemo own_memo_;
   RouteMemo* memo_ = nullptr;
-  // Route() scratch reused by every call; route_seen_[v] == route_epoch_
-  // marks v discovered by the current BFS.
+  // Route() scratch reused by every call.
   std::vector<int> route_next_;
-  std::vector<uint64_t> route_seen_;
-  uint64_t route_epoch_ = 0;
-  std::vector<int> route_queue_;
+  Bfs route_bfs_;
 };
 
 }  // namespace elink

@@ -7,10 +7,13 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <string>
 
 #include "cluster/clustering.h"
+#include "cluster/elink.h"
 #include "cluster/quadtree.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "metric/distance.h"
 #include "sim/topology.h"
 
@@ -77,6 +80,158 @@ TEST(ValidateTest, RejectsRootOutsideOwnCluster) {
   c.root_of = {1, 0};  // Each points at the other: no root is its own.
   EXPECT_FALSE(
       ValidateDeltaClustering(c, t.adjacency, f, OneDim(), 5.0).ok());
+}
+
+// Connectivity of one cluster by union-find over its internal edges, so the
+// reference below shares no search code with the library.
+bool UnionFindConnected(const AdjacencyList& adjacency,
+                        const std::vector<int>& root_of, int root,
+                        const std::vector<int>& members) {
+  std::vector<int> up(adjacency.size());
+  for (size_t i = 0; i < up.size(); ++i) up[i] = static_cast<int>(i);
+  const auto find = [&](int x) {
+    while (up[x] != x) x = up[x] = up[up[x]];
+    return x;
+  };
+  for (int u : members) {
+    for (int v : adjacency[u]) {
+      if (root_of[v] == root) up[find(u)] = find(v);
+    }
+  }
+  const int top = find(root);
+  return std::all_of(members.begin(), members.end(),
+                     [&](int m) { return find(m) == top; });
+}
+
+// ValidateDeltaClustering as it stood with one N-sized mask and one
+// connectivity pass per cluster, with union-find in place of the search: the
+// reference for the error text, including which fault is reported first.
+Status ReferenceValidate(const Clustering& clustering,
+                         const AdjacencyList& adjacency,
+                         const std::vector<Feature>& features,
+                         const DistanceMetric& metric, double delta) {
+  const size_t n = adjacency.size();
+  if (clustering.root_of.size() != n) {
+    return Status::FailedPrecondition("clustering size mismatch");
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const int r = clustering.root_of[i];
+    if (r < 0 || static_cast<size_t>(r) >= n) {
+      return Status::FailedPrecondition(
+          StringPrintf("node %zu unclustered or root out of range", i));
+    }
+    if (clustering.root_of[r] != r) {
+      return Status::FailedPrecondition(StringPrintf(
+          "root %d of node %zu is not a member of its own cluster", r, i));
+    }
+  }
+  for (const auto& [root, members] : clustering.Groups()) {
+    if (!UnionFindConnected(adjacency, clustering.root_of, root, members)) {
+      return Status::FailedPrecondition(
+          StringPrintf("cluster rooted at %d is disconnected", root));
+    }
+    for (size_t a = 0; a < members.size(); ++a) {
+      for (size_t b = a + 1; b < members.size(); ++b) {
+        const double d =
+            metric.Distance(features[members[a]], features[members[b]]);
+        if (d > delta + 1e-9) {
+          return Status::FailedPrecondition(StringPrintf(
+              "cluster rooted at %d violates delta: d(%d, %d) = %.6f > %.6f",
+              root, members[a], members[b], d, delta));
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
+TEST(ValidateTest, MatchesReferenceOnRandomClusterings) {
+  // ELink outputs on random fields whose feature follows x (so clusters are
+  // strips with cut nodes), then per trial: left valid, split by moving a
+  // cut node out of its cluster, given a delta violation, or both faults in
+  // two different clusters (in either root order).
+  Rng rng(1717);
+  const WeightedEuclidean metric = OneDim();
+  std::map<std::string, int> outcomes;
+  for (int trial = 0; trial < 240; ++trial) {
+    const int n = 20 + static_cast<int>(rng.UniformInt(181));
+    Result<Topology> t = MakeRandomTopology(n, 10.0, 1.0 + rng.Uniform01(),
+                                            &rng);
+    ASSERT_TRUE(t.ok());
+    const AdjacencyList& adj = t.value().adjacency;
+    std::vector<Feature> f(n);
+    for (int i = 0; i < n; ++i) {
+      f[i] = {t.value().positions[i].x + rng.Uniform(0.0, 0.5)};
+    }
+    ElinkConfig cfg;
+    cfg.delta = rng.Uniform(1.0, 4.0);
+    Result<ElinkResult> run =
+        RunElink(t.value(), f, metric, cfg,
+                 trial % 2 ? ElinkMode::kExplicit : ElinkMode::kImplicit);
+    ASSERT_TRUE(run.ok());
+    Clustering c = run.value().clustering;
+    std::vector<std::vector<int>> clusters;
+    for (auto& [root, members] : c.Groups()) {
+      if (members.size() >= 3) clusters.push_back(std::move(members));
+    }
+    for (size_t i = clusters.size(); i > 1; --i) {
+      std::swap(clusters[i - 1], clusters[rng.UniformInt(i)]);
+    }
+    const int kind = trial % 4;
+    size_t split_cluster = clusters.size();
+    for (size_t k = 0; (kind == 1 || kind == 3) && k < clusters.size(); ++k) {
+      // The first member whose removal disconnects the cluster becomes its
+      // own singleton, or on odd trials joins a neighbouring cluster.
+      const std::vector<int>& members = clusters[k];
+      const int root = c.root_of[members.front()];
+      for (int x : members) {
+        if (x == root) continue;
+        std::vector<int> root_of = c.root_of;
+        root_of[x] = x;
+        std::vector<int> rest;
+        for (int m : members) {
+          if (m != x) rest.push_back(m);
+        }
+        if (UnionFindConnected(adj, root_of, root, rest)) continue;
+        c.root_of[x] = x;
+        for (int v : adj[x]) {
+          if (trial % 2 && c.root_of[v] != root && v != x) {
+            c.root_of[x] = c.root_of[v];
+            break;
+          }
+        }
+        split_cluster = k;
+        break;
+      }
+      if (split_cluster < clusters.size()) break;
+    }
+    for (size_t k = 0; kind >= 2 && k < clusters.size(); ++k) {
+      // Push one non-root member of another cluster beyond delta.
+      if (k == split_cluster) continue;
+      const std::vector<int>& members = clusters[k];
+      const int root = c.root_of[members.front()];
+      const int x = members.front() != root ? members.front() : members[1];
+      f[x][0] += 2.0 * cfg.delta;
+      break;
+    }
+    const Status want = ReferenceValidate(c, adj, f, metric, cfg.delta);
+    const Status got = ValidateDeltaClustering(c, adj, f, metric, cfg.delta);
+    EXPECT_EQ(got.ToString(), want.ToString()) << "trial " << trial;
+    std::string outcome = "ok";
+    if (!want.ok()) {
+      outcome = want.ToString().find("disconnected") != std::string::npos
+                    ? "split"
+                    : "delta";
+    }
+    ++outcomes[(kind == 3 ? "both:" : "") + outcome];
+  }
+  // Every outcome is exercised, and with both faults present either one can
+  // be the first reported.
+  EXPECT_GT(outcomes["ok"], 40);
+  EXPECT_GT(outcomes["split"], 20);
+  EXPECT_GT(outcomes["delta"], 20);
+  EXPECT_GT(outcomes["both:split"], 10);
+  EXPECT_GT(outcomes["both:delta"], 10);
 }
 
 TEST(RepairTest, SplitsStrandedFragment) {

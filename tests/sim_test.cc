@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -325,6 +326,135 @@ TEST(GraphTest, ShortestHopPathEndpointsAndLength) {
   for (size_t i = 0; i + 1 < path.size(); ++i) {
     EXPECT_TRUE(t.HasEdge(path[i], path[i + 1]));
   }
+}
+
+/// The textbook search `Bfs` must reproduce: a full FIFO search from `src`
+/// over admitted nodes (the source is never asked), recording discovery
+/// order, parents and hop counts.
+struct TextbookSearch {
+  std::vector<int> order, parent, hops;
+};
+
+TextbookSearch TextbookBfs(const AdjacencyList& adj, int src,
+                           const std::vector<char>& admit) {
+  const int n = static_cast<int>(adj.size());
+  TextbookSearch out{{}, std::vector<int>(n, -1), std::vector<int>(n, -1)};
+  std::vector<char> seen(n, 0);
+  std::queue<int> queue;
+  seen[src] = 1;
+  out.parent[src] = src;
+  out.hops[src] = 0;
+  out.order.push_back(src);
+  queue.push(src);
+  while (!queue.empty()) {
+    const int u = queue.front();
+    queue.pop();
+    for (int v : adj[u]) {
+      if (seen[v]) continue;
+      seen[v] = 1;
+      if (!admit[v]) continue;
+      out.parent[v] = u;
+      out.hops[v] = out.hops[u] + 1;
+      out.order.push_back(v);
+      queue.push(v);
+    }
+  }
+  return out;
+}
+
+TEST(GraphTest, BfsMatchesTextbookSearch) {
+  // Random graphs (sparse ones are often disconnected) with shuffled
+  // neighbour order, random admit masks and stop sets: the source itself,
+  // one random node (often unreachable or refused), several, or none.  A
+  // stopped search must be the textbook search's prefix up to its first
+  // stop node.  One Bfs serves every search, so stale stamps would show.
+  constexpr int kMaxNodes = 40;
+  Bfs bfs(kMaxNodes);
+  Rng rng(20061);
+  int stopped = 0, exhausted = 0;
+  for (int graph = 0; graph < 250; ++graph) {
+    const int n = 1 + static_cast<int>(rng.UniformInt(kMaxNodes));
+    const double p = rng.Uniform(0.0, 6.0 / n);
+    AdjacencyList adj(n);
+    for (int u = 0; u < n; ++u) {
+      for (int v = u + 1; v < n; ++v) {
+        if (rng.Bernoulli(p)) {
+          adj[u].push_back(v);
+          adj[v].push_back(u);
+        }
+      }
+    }
+    for (auto& nbrs : adj) {
+      for (size_t i = nbrs.size(); i > 1; --i) {
+        std::swap(nbrs[i - 1], nbrs[rng.UniformInt(i)]);
+      }
+    }
+    for (int search = 0; search < 4; ++search) {
+      const int src = static_cast<int>(rng.UniformInt(n));
+      const double keep = rng.Uniform(0.5, 1.0);
+      std::vector<char> admit(n), stop(n, 0);
+      for (int v = 0; v < n; ++v) admit[v] = rng.Bernoulli(keep) ? 1 : 0;
+      switch (search) {
+        case 0:
+          stop[src] = 1;
+          break;
+        case 1:
+          stop[rng.UniformInt(n)] = 1;
+          break;
+        case 2:
+          for (int v = 0; v < n; ++v) stop[v] = rng.Bernoulli(0.1) ? 1 : 0;
+          break;
+        default:
+          break;  // No stop: a flood.
+      }
+      const TextbookSearch full = TextbookBfs(adj, src, admit);
+      int want = -1;
+      size_t prefix = full.order.size();
+      for (size_t i = 0; i < full.order.size(); ++i) {
+        if (stop[full.order[i]]) {
+          want = full.order[i];
+          prefix = i + 1;
+          break;
+        }
+      }
+      std::vector<int> asked(n, 0);
+      const int got = bfs.Run(
+          adj, src,
+          [&](int v) {
+            ++asked[v];
+            return admit[v] != 0;
+          },
+          [&](int v) { return stop[v] != 0; });
+      SCOPED_TRACE(testing::Message() << "graph " << graph << " search "
+                                      << search << " src " << src);
+      ASSERT_EQ(got, want);
+      ++(got >= 0 ? stopped : exhausted);
+      const std::vector<int> order(full.order.begin(),
+                                   full.order.begin() + prefix);
+      EXPECT_EQ(bfs.order(), order);
+      EXPECT_EQ(asked[src], 0);
+      std::vector<char> in_prefix(n, 0);
+      for (int v : order) in_prefix[v] = 1;
+      for (int v = 0; v < n; ++v) {
+        EXPECT_LE(asked[v], 1) << "node " << v;
+        EXPECT_EQ(bfs.reached(v), in_prefix[v] != 0) << "node " << v;
+        EXPECT_EQ(bfs.parent(v), in_prefix[v] ? full.parent[v] : -1);
+        EXPECT_EQ(bfs.hops(v), in_prefix[v] ? full.hops[v] : -1);
+        std::vector<int> path;
+        if (in_prefix[v]) {
+          for (int cur = v; cur != src; cur = full.parent[cur]) {
+            path.push_back(cur);
+          }
+          path.push_back(src);
+          std::reverse(path.begin(), path.end());
+        }
+        EXPECT_EQ(bfs.PathTo(v), path) << "node " << v;
+      }
+    }
+  }
+  // Both kinds of outcome were exercised.
+  EXPECT_GT(stopped, 100);
+  EXPECT_GT(exhausted, 100);
 }
 
 // -- Network ------------------------------------------------------------------
